@@ -17,7 +17,6 @@ config = ScanConfig(
     seed=0,
     trials=8,
     sources=("henneberg", "sphere", "projective", "degree_bounded"),
-    workers=4,
 )
 
 summary = run_scan(config)

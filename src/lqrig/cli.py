@@ -12,25 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import product
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .geometry import DEFAULT_Q_GAP, IllPositionedError, LqSpace, Placement, rigidity_matrix
 from .graphs import Graph, SparsityParams, f_count, is_sparse
-from .operations import (
-    brace,
-    cone,
-    henneberg_generate,
-    one_extension,
-    one_reduce,
-    random_degree_bounded_sparse,
-    substitute,
-    vertex_split,
-    zero_extension,
-)
+from .operations import OPERATIONS, henneberg_generate, random_degree_bounded_sparse
 from .rank import (
     DEFAULT_REL_TOL,
     DEFAULT_TRIALS,
@@ -126,7 +116,6 @@ class ScanConfig:
     sources: tuple[str, ...] = ("henneberg",)
     rel_tol: float = DEFAULT_REL_TOL
     allow_near_euclidean: bool = False
-    workers: int = 4
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -206,32 +195,14 @@ def run_scan(config: ScanConfig) -> dict:
     auto-classified as disproofs.
     """
     instances = _scan_instances(config)
-    cells = [
-        (idx, q) for idx in range(len(instances)) for q in config.q_list
-    ]
-
-    def run_cell(cell: tuple[int, float]) -> tuple[int, float, object, dict]:
-        idx, q = cell
-        inst = instances[idx]
-        g = inst["graph"]
-        space = LqSpace(config.d, q)
-        res = max_rank_sample(
-            g, space, trials=config.trials, seed=inst["seed"], rel_tol=config.rel_tol
-        )
-        return idx, q, res, inst
-
-    workers = max(1, config.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-
     predicted = 0
     marginal = 0
     candidates = []
-    for idx, q, res, inst in results:
+    for inst, q in product(instances, config.q_list):
         g = inst["graph"]
+        res = max_rank_sample(
+            g, LqSpace(config.d, q), trials=config.trials, seed=inst["seed"], rel_tol=config.rel_tol
+        )
         if not res.stable:
             marginal += 1
         elif res.rank == g.m:
@@ -240,6 +211,7 @@ def run_scan(config: ScanConfig) -> dict:
             candidates.append(
                 {
                     "source": inst["source"],
+                    "base": inst.get("base"),
                     "q": q,
                     "d": config.d,
                     "seed": inst["seed"],
@@ -261,7 +233,7 @@ def run_scan(config: ScanConfig) -> dict:
         "seed": config.seed,
         "trials": config.trials,
         "totals": {
-            "cells": len(cells),
+            "cells": len(instances) * len(config.q_list),
             "graphs": len(instances),
             "predicted": predicted,
             "candidates": len(candidates),
@@ -301,49 +273,30 @@ def _run_sparsity(args: argparse.Namespace) -> dict:
 
 
 def _run_op(args: argparse.Namespace) -> dict:
+    op = OPERATIONS.get(args.kind)
+    if op is None:
+        raise InputError(f"unknown operation {args.kind!r}")
+    if op.needs_d and args.d is None:
+        raise InputError("op needs -d")
     g = _load_graph(args.graph)
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise InputError(f"bad --params: {exc}") from exc
-    kind = args.kind
+    given = {"d": args.d} if op.needs_d else {}
+    if args.kind == "subst":
+        if not args.h_graph:
+            raise InputError("subst needs --h-graph")
+        given["h"] = _load_graph(args.h_graph).to_json_dict()
     try:
-        if kind == "cone":
-            out, rec = cone(g)
-        elif kind == "brace":
-            out, rec = brace(g, params["s"], args.d)
-        elif kind == "ext0":
-            out, rec = zero_extension(g, params["s"], args.d)
-        elif kind == "ext1":
-            out, rec = one_extension(g, params["nbrs"], tuple(params["removed"]), args.d)
-        elif kind in ("vsplit", "spider"):
-            out, rec = vertex_split(
-                g,
-                params["v0"],
-                params["shared"],
-                params.get("moved", []),
-                args.d,
-                spider=kind == "spider",
-            )
-        elif kind == "subst":
-            if not args.h_graph:
-                raise InputError("subst needs --h-graph")
-            h = _load_graph(args.h_graph)
-            assign = None
-            if "assign" in params:
-                assign = {int(k): int(v) for k, v in params["assign"].items()}
-            out, rec = substitute(g, params["v0"], h, assign)
-        elif kind == "reduce1":
-            res = one_reduce(g, params["v"], args.d)
-            if res is None:
-                return {"graph": None, "record": None, "reduction_found": False}
-            out, rec = res
-        else:
-            raise InputError(f"unknown operation {kind!r}")
+        res = op.apply(g, {**params, **given})
     except (KeyError, TypeError) as exc:
         raise InputError(f"missing or bad operation parameter: {exc}") from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if res is None:
+        return {"graph": None, "record": None, "reduction_found": False}
+    out, rec = res
     return {"graph": out.to_json_dict(), "record": rec.to_json_dict(), "reduction_found": True}
 
 
@@ -372,46 +325,46 @@ def _run_gen(args: argparse.Namespace) -> dict:
     return {"graph": g.to_json_dict(), "log": [r.to_json_dict() for r in log]}
 
 
+class Oracle(NamedTuple):
+    """A closed-form oracle: its function and the flags it takes, in the
+    order of its arguments."""
+
+    fn: Callable[..., float]
+    params: tuple[str, ...]
+    # A missing --gamma defaults to oracles.select_gamma(q).
+    selects_gamma: bool = False
+
+
+ORACLES: dict[str, Oracle] = {
+    "wheel_det": Oracle(oracles.wheel_det, ("q",)),
+    "circulant_det": Oracle(oracles.circulant_det, ("d", "q")),
+    "k4_gamma_det": Oracle(oracles.k4_gamma_det, ("gamma", "q"), selects_gamma=True),
+    "k7k3_detR": Oracle(oracles.k7k3_detR, ("gamma", "q"), selects_gamma=True),
+    "gamma_select": Oracle(oracles.select_gamma, ("q",)),
+    "k7k3_f": Oracle(oracles.k7k3_f, ("gamma", "q")),
+}
+_FLAGS = {"d": "-d", "gamma": "--gamma"}
+
+
 def _run_oracle(args: argparse.Namespace) -> dict:
     name = args.name
-    params: dict = {}
+    if name not in ORACLES:
+        raise InputError(f"unknown oracle {name!r}")
+    if not args.q:
+        raise InputError(f"{name} needs -q")
+    oracle = ORACLES[name]
+    given = {"d": args.d, "q": args.q[0], "gamma": args.gamma}
+    if oracle.selects_gamma and args.gamma is None:
+        given["gamma"] = oracles.select_gamma(args.q[0])
+    missing = [_FLAGS[p] for p in oracle.params if given[p] is None]
+    if missing:
+        raise InputError(f"{name} needs " + " and ".join(missing))
+    params = {p: given[p] for p in oracle.params}
     try:
-        if name == "wheel_det":
-            _require(args.q is not None, "wheel_det needs -q")
-            value = oracles.wheel_det(args.q[0])
-            params = {"q": args.q[0]}
-        elif name == "circulant_det":
-            _require(args.q is not None and args.d is not None, "circulant_det needs -d and -q")
-            value = oracles.circulant_det(args.d, args.q[0])
-            params = {"d": args.d, "q": args.q[0]}
-        elif name == "k4_gamma_det":
-            _require(args.q is not None, "k4_gamma_det needs -q")
-            gamma = args.gamma if args.gamma is not None else oracles.select_gamma(args.q[0])
-            value = oracles.k4_gamma_det(gamma, args.q[0])
-            params = {"gamma": gamma, "q": args.q[0]}
-        elif name == "k7k3_detR":
-            _require(args.q is not None, "k7k3_detR needs -q")
-            gamma = args.gamma if args.gamma is not None else oracles.select_gamma(args.q[0])
-            value = oracles.k7k3_detR(gamma, args.q[0])
-            params = {"gamma": gamma, "q": args.q[0]}
-        elif name == "gamma_select":
-            _require(args.q is not None, "gamma_select needs -q")
-            value = oracles.select_gamma(args.q[0])
-            params = {"q": args.q[0]}
-        elif name == "k7k3_f":
-            _require(args.q is not None and args.gamma is not None, "k7k3_f needs -q and --gamma")
-            value = oracles.k7k3_f(args.gamma, args.q[0])
-            params = {"gamma": args.gamma, "q": args.q[0]}
-        else:
-            raise InputError(f"unknown oracle {name!r}")
+        value = oracle.fn(*params.values())
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return {"name": name, "params": params, "value": float(value)}
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InputError(message)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -453,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="apply one graph operation")
     common(p)
-    p.add_argument("--kind", required=True, help="cone|brace|ext0|ext1|vsplit|spider|subst|reduce1")
+    p.add_argument("--kind", required=True, help="|".join(OPERATIONS))
     p.add_argument("--params", default=None, help="operation parameters as JSON")
     p.add_argument("--h-graph", default=None, help="graph JSON for subst")
 
@@ -469,11 +422,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--sources", default="henneberg", help="comma list of sources")
     p.add_argument("--allow-near-euclidean", action="store_true")
-    p.add_argument("--workers", type=int, default=4)
 
     p = sub.add_parser("oracle", help="evaluate a closed-form oracle")
     common(p, graph=False)
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", required=True, help="|".join(ORACLES))
     p.add_argument("--gamma", type=float, default=None)
 
     return ap
@@ -499,8 +451,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
     if args.command == "sparsity":
         return _run_sparsity(args)
     if args.command == "op":
-        if args.d is None and args.kind != "cone" and args.kind != "subst":
-            raise InputError("op needs -d")
         return _run_op(args)
     if args.command == "gen":
         return _run_gen(args)
@@ -517,7 +467,6 @@ def _dispatch(args: argparse.Namespace) -> dict:
             sources=tuple(s for s in args.sources.split(",") if s),
             rel_tol=args.tol,
             allow_near_euclidean=args.allow_near_euclidean,
-            workers=args.workers,
         )
         return run_scan(config)
     if args.command == "oracle":

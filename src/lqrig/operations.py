@@ -11,13 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .graphs import Graph, SparsityParams, complete_graph, edge_addable, is_sparse
-
-OP_KINDS = ("cone", "brace", "ext0", "ext1", "vsplit", "spider", "subst", "reduce1")
 
 
 @dataclass(frozen=True)
@@ -210,41 +208,68 @@ def one_reduce(g: Graph, v: int, d: int) -> Optional[tuple[Graph, OpRecord]]:
     """Apply the 1-reduction found by `one_reduction_search`, renumbering
     vertices above v down by one."""
     pair = one_reduction_search(g, v, d)
-    if pair is None:
-        return None
+    return None if pair is None else _reduce_at(g, v, pair, d)
+
+
+def _reduce_at(g: Graph, v: int, pair: Sequence[int], d: int) -> tuple[Graph, OpRecord]:
+    """Delete v and join the pair, given in the numbering before the deletion."""
     x, y = pair
-    reduced = g.delete_vertex(v)
-    xs = x - 1 if x > v else x
-    ys = y - 1 if y > v else y
-    out = reduced.with_edge(xs, ys)
+    out = g.delete_vertex(v).with_edge(x - 1 if x > v else x, y - 1 if y > v else y)
     return out, OpRecord("reduce1", {"v": v, "added": [x, y], "d": d}, g.n, out.n)
+
+
+def _substitute(g: Graph, p: dict) -> tuple[Graph, OpRecord]:
+    assign = p.get("assign")
+    if assign is not None:
+        assign = {int(w): int(hv) for w, hv in assign.items()}
+    return substitute(g, p["v0"], Graph.from_json_dict(p["h"]), assign)
+
+
+def _reduce1(g: Graph, p: dict) -> Optional[tuple[Graph, OpRecord]]:
+    # A record carries the pair it added; a request without one searches.
+    if "added" not in p:
+        return one_reduce(g, p["v"], p["d"])
+    return _reduce_at(g, p["v"], p["added"], p["d"])
+
+
+class Operation(NamedTuple):
+    """How to apply one operation kind from its parameter dict.
+
+    `apply` takes the params a record carries (or a request spells out) and
+    returns the new graph with its record, or None when a 1-reduction finds
+    no pair; `needs_d` says whether the params must include the dimension.
+    """
+
+    apply: Callable[[Graph, dict], Optional[tuple[Graph, OpRecord]]]
+    needs_d: bool
+
+
+OPERATIONS: dict[str, Operation] = {
+    "cone": Operation(lambda g, p: cone(g), False),
+    "brace": Operation(lambda g, p: brace(g, p["s"], p["d"]), True),
+    "ext0": Operation(lambda g, p: zero_extension(g, p["s"], p["d"]), True),
+    "ext1": Operation(
+        lambda g, p: one_extension(g, p["nbrs"], tuple(p["removed"]), p["d"]), True
+    ),
+    "vsplit": Operation(
+        lambda g, p: vertex_split(g, p["v0"], p["shared"], p.get("moved", []), p["d"]), True
+    ),
+    "spider": Operation(
+        lambda g, p: vertex_split(
+            g, p["v0"], p["shared"], p.get("moved", []), p["d"], spider=True
+        ),
+        True,
+    ),
+    "subst": Operation(_substitute, False),
+    "reduce1": Operation(_reduce1, True),
+}
 
 
 def apply_record(g: Graph, rec: OpRecord) -> Graph:
     """Replay one recorded operation."""
-    p = rec.params
-    if rec.kind == "cone":
-        return cone(g)[0]
-    if rec.kind == "brace":
-        return brace(g, p["s"], p["d"])[0]
-    if rec.kind == "ext0":
-        return zero_extension(g, p["s"], p["d"])[0]
-    if rec.kind == "ext1":
-        return one_extension(g, p["nbrs"], tuple(p["removed"]), p["d"])[0]
-    if rec.kind in ("vsplit", "spider"):
-        return vertex_split(
-            g, p["v0"], p["shared"], p["moved"], p["d"], spider=rec.kind == "spider"
-        )[0]
-    if rec.kind == "subst":
-        h = Graph.from_json_dict(p["h"])
-        assign = {int(w): hv for w, hv in p["assign"].items()}
-        return substitute(g, p["v0"], h, assign)[0]
-    if rec.kind == "reduce1":
-        v = p["v0"] if "v0" in p else p["v"]
-        x, y = p["added"]
-        reduced = g.delete_vertex(v)
-        return reduced.with_edge(x - 1 if x > v else x, y - 1 if y > v else y)
-    raise ValueError(f"unknown operation kind {rec.kind!r}")
+    if rec.kind not in OPERATIONS:
+        raise ValueError(f"unknown operation kind {rec.kind!r}")
+    return OPERATIONS[rec.kind].apply(g, rec.params)[0]
 
 
 def records_to_jsonl(records: Sequence[OpRecord]) -> str:

@@ -13,8 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import LqSpace, Placement, rigidity_matrix, signed_pow
-from .graphs import Graph
+from .geometry import LqSpace, Placement, rigidity_matrix
+from .graphs import Graph, wheel_graph
 
 
 # -- wheel example ------------------------------------------------------------
@@ -36,13 +36,10 @@ def wheel_degenerate_placement() -> Placement:
 
 def wheel_altered_matrix(q: float, placement: Placement | None = None) -> np.ndarray:
     """The displayed 8 x 10 altered matrix, rows in WHEEL_EDGE_ORDER."""
-    p = (placement or wheel_placement()).coords
-    m = np.zeros((8, 10))
-    for r, (v, w) in enumerate(WHEEL_EDGE_ORDER):
-        row = signed_pow(p[v] - p[w], q - 1.0)
-        m[r, 2 * v : 2 * v + 2] = row
-        m[r, 2 * w : 2 * w + 2] = -row
-    return m
+    p = placement or wheel_placement()
+    mat = rigidity_matrix(wheel_graph(5), p, LqSpace(2, q), form="altered")
+    rows = [mat.edge_order.index(e) for e in WHEEL_EDGE_ORDER]
+    return mat.entries[rows]
 
 
 def wheel_corner_submatrix(q: float) -> np.ndarray:

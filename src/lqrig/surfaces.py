@@ -187,7 +187,10 @@ def topological_vertex_split(
     The link cycle of v is cut at a and b; v keeps the arc from a to b (in
     the stored cyclic order) plus the new vertex w0, which takes the other
     arc.  Faces (v, w0, a) and (v, w0, b) are added.  As a graph operation
-    this is a 3-dimensional vertex split with shared neighbours {a, b}.
+    this is the 3-dimensional vertex split with shared neighbours {a, b}
+    that moves the interior of the arc b..a to w0.  The record is that
+    split's record, which `operations.apply_record` replays on the graph,
+    with `a` and `b` added for `replay_splits`, which rebuilds the faces.
     """
     if a == b:
         raise ValueError("split vertices must be distinct")
@@ -220,13 +223,9 @@ def topological_vertex_split(
     res = validate(out)
     if not res:
         raise ValueError(f"split rejected: {res.failure}")
-    rec = OpRecord(
-        "vsplit",
-        {"v": v, "a": a, "b": b, "topological": True, "surface": t.surface},
-        t.n,
-        out.n,
-    )
-    return out, rec
+    moved = sorted(cyc[ib + 1 :])
+    params = {"v0": v, "shared": sorted((a, b)), "moved": moved, "d": 3, "a": a, "b": b}
+    return out, OpRecord("vsplit", params, t.n, out.n)
 
 
 def split_candidates(t: SurfaceTriangulation) -> list[tuple[int, int, int]]:
@@ -276,5 +275,5 @@ def replay_splits(
 ) -> SurfaceTriangulation:
     t = base
     for rec in records:
-        t, _ = topological_vertex_split(t, rec.params["v"], rec.params["a"], rec.params["b"])
+        t, _ = topological_vertex_split(t, rec.params["v0"], rec.params["a"], rec.params["b"])
     return t

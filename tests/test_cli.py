@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from lqrig import cli
 from lqrig.cli import InputError, ScanConfig, main, run_analyze, run_scan
 from lqrig.graphs import Graph, complete_graph, wheel_graph
-from lqrig.operations import one_extension
+from lqrig.operations import OpRecord, apply_record, one_extension
 from lqrig.oracles import wheel_degenerate_placement
+from lqrig.rank import RankResult
+from lqrig.surfaces import base_complex
 
 
 @pytest.fixture
@@ -254,12 +257,28 @@ class TestScan:
                 seed=1,
                 trials=4,
                 sources=("henneberg", "sphere", "projective", "degree_bounded"),
-                workers=2,
             )
         )
         totals = summary["totals"]
         assert totals["cells"] == totals["predicted"] + totals["candidates"] + totals["marginal"]
         assert totals["candidates"] == 0
+
+    def test_surface_candidates_replay(self, monkeypatch):
+        def one_short(g, space, **kwargs):
+            return RankResult(g.m - 1, (), 0.0, 1, None, (g.m - 1, g.m - 1), True)
+
+        monkeypatch.setattr(cli, "max_rank_sample", one_short)
+        summary = run_scan(
+            ScanConfig(d=3, q_list=(3.0,), max_n=9, count=2, seed=1, sources=("projective",))
+        )
+        candidates = summary["candidates"]
+        assert len(candidates) == summary["totals"]["cells"] == 8
+        assert {c["base"] for c in candidates} == {"K6", "K7_minus_K3"}
+        for c in candidates:
+            g = base_complex(c["base"]).graph
+            for obj in c["log"]:
+                g = apply_record(g, OpRecord.from_json_dict(obj))
+            assert g == Graph.from_json_dict(c["graph"])
 
     def test_near_euclidean_rejected(self):
         with pytest.raises(InputError):

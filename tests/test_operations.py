@@ -22,11 +22,14 @@ from lqrig.operations import (
     one_reduction_search,
     random_count_sparse,
     random_degree_bounded_sparse,
+    records_from_jsonl,
+    records_to_jsonl,
     substitute,
     vertex_split,
     zero_extension,
 )
 from lqrig.rank import verdict
+from lqrig.surfaces import PROJECTIVE_PLANE, SPHERE, base_complex, generate_triangulation
 
 from bruteforce import brute_sparse, is_isomorphic
 
@@ -330,8 +333,6 @@ class TestRandomGenerators:
 
 class TestRecords:
     def test_jsonl_round_trip(self):
-        from lqrig.operations import records_from_jsonl, records_to_jsonl
-
         _, log = henneberg_generate(3, 9, seed=2)
         text = records_to_jsonl(log)
         assert len(text.splitlines()) == len(log)
@@ -339,22 +340,28 @@ class TestRecords:
 
     def test_every_record_replays(self):
         g = wheel_graph(5)
-        cases = [
-            cone(g),
-            brace(g, [0, 1, 2, 4], d=2),
-            zero_extension(g, [1, 2], d=2),
-            one_extension(g, [1, 2, 3], (1, 2), d=2),
-            vertex_split(g, 0, [1], [3], d=2),
-            vertex_split(g, 0, [1, 2], [3], d=2, spider=True),
-            substitute(g, 0, complete_graph(3), {1: 0, 2: 1, 3: 2, 4: 0}),
-        ]
-        red = one_reduce(one_extension(g, [1, 2, 3], (1, 2), d=2)[0], 5, 2)
+        ext1 = one_extension(g, [1, 2, 3], (1, 2), d=2)[0]
+        red = one_reduce(ext1, 5, 2)
         assert red is not None
-        cases.append(red)
-        base_for = {
-            "reduce1": one_extension(g, [1, 2, 3], (1, 2), d=2)[0],
-        }
-        for out, rec in cases:
-            src = base_for.get(rec.kind, g)
-            assert apply_record(src, rec) == out
+        cases = [
+            (g, *op)
+            for op in (
+                cone(g),
+                brace(g, [0, 1, 2, 4], d=2),
+                zero_extension(g, [1, 2], d=2),
+                one_extension(g, [1, 2, 3], (1, 2), d=2),
+                vertex_split(g, 0, [1], [3], d=2),
+                vertex_split(g, 0, [1, 2], [3], d=2, spider=True),
+                substitute(g, 0, complete_graph(3), {1: 0, 2: 1, 3: 2, 4: 0}),
+            )
+        ]
+        cases.append((ext1, *red))
+        for surface, base in ((PROJECTIVE_PLANE, "K6"), (SPHERE, "K4")):
+            src = base_complex(base)
+            t, log = generate_triangulation(surface, src.n + 1, seed=0, base=base)
+            cases.append((src.graph, t.graph, log[0]))
+        records = records_from_jsonl(records_to_jsonl([rec for _, _, rec in cases]))
+        assert len(records) == len(cases)
+        for (src, out, rec), back in zip(cases, records):
+            assert apply_record(src, back) == out, rec.kind
             assert rec.before_n == src.n and rec.after_n == out.n
