@@ -89,9 +89,6 @@ def run_analyze(
         p = _load_placement(placement_file)
         if p.d != d or p.n != g.n:
             raise InputError("placement shape does not match the graph and dimension")
-        offending = p.offending_edge(g)
-        if offending is not None:
-            raise IllPositionedError(offending)
         placement_rank = numerical_rank(
             rigidity_matrix(g, p, space), rel_tol=rel_tol
         ).rank
@@ -301,6 +298,8 @@ def _run_op(args: argparse.Namespace) -> dict:
 
 
 def _run_gen(args: argparse.Namespace) -> dict:
+    if args.base and not args.surface:
+        raise InputError("--base needs --surface")
     if args.surface:
         surface = (
             surfaces.SPHERE if args.surface == "sphere" else surfaces.PROJECTIVE_PLANE
@@ -414,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, graph=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--surface", choices=("sphere", "projective"), default=None)
-    p.add_argument("--base", choices=("K4", "K6", "K7mK3"), default=None)
+    p.add_argument("--base", choices=surfaces.BASE_NAMES, default=None)
 
     p = sub.add_parser("scan", help="conjecture scan over generated graphs")
     common(p, graph=False)

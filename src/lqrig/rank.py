@@ -49,22 +49,26 @@ def _as_array(m: Union[RigidityMatrix, np.ndarray]) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
+def _cutoff_rank(sv: np.ndarray, shape: tuple, rel_tol: float) -> tuple[int, float]:
+    """Rank and cutoff under the rule of `numerical_rank`, for `cokernel_basis` too."""
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
+    cutoff = rel_tol * float(sv.max(initial=0.0)) * max(shape)
+    return int(np.count_nonzero(sv > cutoff)), cutoff
+
+
 def numerical_rank(
     m: Union[RigidityMatrix, np.ndarray], rel_tol: float = DEFAULT_REL_TOL
 ) -> RankResult:
-    """Rank = number of singular values above rel_tol * sigma_max * max(rows, cols)."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    """Rank = number of singular values above rel_tol * sigma_max * max(rows, cols);
+    rel_tol must be positive."""
     a = _as_array(m)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if min(a.shape) == 0:
-        return RankResult(0, (), 0.0, 1, None, (0,), True)
     sv = np.linalg.svd(a, compute_uv=False)
-    cutoff = rel_tol * float(sv[0]) * max(a.shape)
-    rank = int(np.count_nonzero(sv > cutoff))
+    rank, cutoff = _cutoff_rank(sv, a.shape, rel_tol)
     return RankResult(rank, tuple(float(s) for s in sv), cutoff, 1, None, (rank,), True)
 
 
@@ -162,18 +166,13 @@ def verdict(
 def cokernel_basis(
     m: Union[RigidityMatrix, np.ndarray], rel_tol: float = DEFAULT_REL_TOL
 ) -> np.ndarray:
-    """Orthonormal basis of the left null space (self-stresses), one per row."""
+    """Orthonormal basis of the left null space (self-stresses), one per
+    row, with the rank taken under the tolerance rule of `numerical_rank`."""
     a = _as_array(m)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    rows = a.shape[0]
-    if rows == 0:
-        return np.zeros((0, 0))
-    if a.shape[1] == 0 or not np.any(a):
-        return np.eye(rows)
     u, sv, _ = np.linalg.svd(a, full_matrices=True)
-    cutoff = rel_tol * float(sv[0]) * max(a.shape)
-    rank = int(np.count_nonzero(sv > cutoff))
+    rank, _ = _cutoff_rank(sv, a.shape, rel_tol)
     return np.ascontiguousarray(u[:, rank:].T)
 
 

@@ -48,6 +48,7 @@ _BASES = {
     "K7_minus_K3": (PROJECTIVE_PLANE, 7, _K7_MINUS_K3_FACES),
 }
 _BASE_ALIASES = {"K7mK3": "K7_minus_K3"}
+BASE_NAMES = (*_BASES, *_BASE_ALIASES)
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,13 @@ def topological_vertex_split(
     that moves the interior of the arc b..a to w0.  The record is that
     split's record, which `operations.apply_record` replays on the graph,
     with `a` and `b` added for `replay_splits`, which rebuilds the faces.
+
+    Precondition: `t` is a valid triangulation (see `validate`).  The output
+    is then valid too, so it is not re-checked: the edit is local to the
+    faces at v; each edge of the old link keeps two faces; the new edges
+    v w0, w0 a and w0 b each lie in exactly two faces; the links of v, w0,
+    a and b stay single cycles (w0 enters those of a and b next to v); and
+    |V| + 1, |E| + 3, |F| + 2 keep the edge count and Euler characteristic.
     """
     if a == b:
         raise ValueError("split vertices must be distinct")
@@ -220,9 +228,6 @@ def topological_vertex_split(
     faces.append(tuple(sorted((v, w0, b))))
 
     out = from_faces(t.surface, t.n + 1, faces)
-    res = validate(out)
-    if not res:
-        raise ValueError(f"split rejected: {res.failure}")
     moved = sorted(cyc[ib + 1 :])
     params = {"v0": v, "shared": sorted((a, b)), "moved": moved, "d": 3, "a": a, "b": b}
     return out, OpRecord("vsplit", params, t.n, out.n)
@@ -246,7 +251,7 @@ def generate_triangulation(
     seed: int,
     base: Optional[str] = None,
 ) -> tuple[SurfaceTriangulation, list[OpRecord]]:
-    """Grow a random triangulation to n vertices by uniformly random valid
+    """Grow a random triangulation to n vertices by uniformly random
     topological vertex splits; deterministic per seed."""
     if base is None:
         base = "K4" if surface == SPHERE else "K6"
@@ -259,13 +264,7 @@ def generate_triangulation(
     records: list[OpRecord] = []
     while t.n < n:
         cands = split_candidates(t)
-        while True:
-            v, a, b = cands[int(rng.integers(len(cands)))]
-            try:
-                t, rec = topological_vertex_split(t, v, a, b)
-                break
-            except ValueError:
-                cands.remove((v, a, b))
+        t, rec = topological_vertex_split(t, *cands[int(rng.integers(len(cands)))])
         records.append(rec)
     return t, records
 

@@ -82,6 +82,7 @@ class TestAnalyze:
             ["analyze", "--graph", str(gfile), "-d", "2", "-q", "3", "--placement", str(pfile)]
         )
         assert code == 3
+        assert "(0, 1)" in capsys.readouterr().err
 
     def test_out_file(self, wheel_file, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -206,6 +207,21 @@ class TestGen:
 
     def test_too_small_exit_2(self, capsys):
         assert main(["gen", "-d", "3", "--n", "2", "--seed", "0"]) == 2
+
+    def test_base_takes_table_names(self, capsys):
+        # scan candidates name their base "K7_minus_K3"; the alias stays accepted
+        docs = [
+            run_cli(
+                ["gen", "--surface", "projective", "--base", base, "--n", "9", "--seed", "1"],
+                capsys,
+            )
+            for base in ("K7_minus_K3", "K7mK3")
+        ]
+        assert docs[0][0] == 0 and docs[0] == docs[1]
+
+    def test_base_without_surface_exit_2(self, capsys):
+        assert main(["gen", "--base", "K6", "-d", "3", "--n", "8"]) == 2
+        assert "--surface" in capsys.readouterr().err
 
 
 class TestOracleCommand:

@@ -154,6 +154,20 @@ class TestCokernel:
         assert np.allclose(basis @ m.entries, 0, atol=1e-9)
         assert np.allclose(basis @ basis.T, np.eye(2), atol=1e-9)
 
+    def test_rejects_bad_tol(self):
+        m = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]
+        assert cokernel_basis(m).shape == (1, 2)
+        for rel_tol in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rel_tol"):
+                cokernel_basis(m, rel_tol=rel_tol)
+            with pytest.raises(ValueError, match="rel_tol"):
+                cokernel_basis(np.zeros((2, 3)), rel_tol=rel_tol)
+
+    def test_degenerate_shapes(self):
+        assert cokernel_basis(np.zeros((0, 4))).shape == (0, 0)
+        assert np.array_equal(cokernel_basis(np.zeros((3, 0))), np.eye(3))
+        assert np.array_equal(cokernel_basis(np.zeros((3, 4))), np.eye(3))
+
     def test_degenerate_wheel_has_stress(self):
         for q in (1.5, 3.0):
             m = rigidity_matrix(wheel_graph(5), wheel_degenerate_placement(), LqSpace(2, q))

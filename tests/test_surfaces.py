@@ -161,10 +161,17 @@ class TestSplit:
         assert out.graph == split_graph
 
     def test_all_candidate_splits_validate(self):
-        t = base_complex("K6")
-        for v, a, b in split_candidates(t):
-            out, _ = topological_vertex_split(t, v, a, b)
-            assert validate(out)
+        # the split does not re-check its output; this is the reference
+        complexes = [base_complex(base) for base in ("K4", "K6", "K7_minus_K3")]
+        complexes += [
+            generate_triangulation(SPHERE, 10, seed=1)[0],
+            generate_triangulation(PROJECTIVE_PLANE, 11, seed=2, base="K6")[0],
+            generate_triangulation(PROJECTIVE_PLANE, 12, seed=3, base="K7_minus_K3")[0],
+        ]
+        for t in complexes:
+            for v, a, b in split_candidates(t):
+                out, _ = topological_vertex_split(t, v, a, b)
+                assert validate(out), (t.faces, v, a, b)
 
 
 class TestValidateNegatives:
@@ -221,6 +228,51 @@ class TestGeneration:
         assert replayed == t
         t2, _ = generate_triangulation(PROJECTIVE_PLANE, 10, seed=3)
         assert t2 == t
+
+    # Three splits per base at seed 5, as the generator drew them when it
+    # still re-validated each split: faces and (v0, a, b, moved) per split.
+    # A change in how the generator consumes its random stream shows here.
+    PINNED = {
+        "K4": (
+            SPHERE,
+            ((0, 1, 4), (1, 3, 6), (2, 3, 6), (1, 3, 4), (2, 3, 4),
+             (2, 5, 6), (0, 4, 5), (2, 4, 5), (0, 1, 6), (0, 5, 6)),
+            ((2, 3, 0, [1]), (4, 0, 2, []), (0, 1, 5, [2, 3])),
+        ),
+        "K6": (
+            PROJECTIVE_PLANE,
+            ((0, 1, 2), (1, 3, 8), (0, 2, 4), (0, 3, 5), (0, 5, 6), (1, 2, 5),
+             (1, 3, 6), (1, 6, 7), (2, 3, 6), (2, 3, 5), (0, 4, 6), (2, 4, 6),
+             (5, 6, 7), (1, 5, 7), (0, 1, 8), (0, 3, 8)),
+            ((4, 0, 2, [1, 3, 5]), (5, 6, 1, []), (0, 1, 3, [])),
+        ),
+        "K7_minus_K3": (
+            PROJECTIVE_PLANE,
+            ((0, 1, 4), (1, 5, 9), (0, 2, 4), (0, 2, 6), (0, 5, 7), (0, 7, 8),
+             (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (2, 3, 4), (2, 5, 7),
+             (2, 3, 7), (3, 6, 7), (0, 6, 8), (6, 7, 8), (0, 1, 9), (0, 5, 9)),
+            ((3, 2, 6, [0, 5]), (6, 0, 7, []), (0, 1, 5, [])),
+        ),
+    }
+
+    def test_pinned_outputs(self):
+        for base, (surface, faces, splits) in self.PINNED.items():
+            start = base_complex(base)
+            t, log = generate_triangulation(surface, start.n + 3, seed=5, base=base)
+            assert t.faces == faces
+            assert [r.to_json_dict() for r in log] == [
+                {
+                    "kind": "vsplit",
+                    "params": {
+                        "v0": v, "shared": sorted((a, b)), "moved": moved,
+                        "d": 3, "a": a, "b": b,
+                    },
+                    "before_n": start.n + i,
+                    "after_n": start.n + i + 1,
+                }
+                for i, (v, a, b, moved) in enumerate(splits)
+            ]
+            assert replay_splits(start, log) == t
 
     def test_base_surface_mismatch(self):
         with pytest.raises(ValueError, match="complex"):
