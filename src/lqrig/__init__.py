@@ -43,11 +43,9 @@ from .rank import (
     DEFAULT_TRIALS,
     RankResult,
     Verdict,
-    analysis_report,
     cokernel_basis,
     max_rank_sample,
     numerical_rank,
-    rank_at,
     sample_placement,
     verdict,
 )

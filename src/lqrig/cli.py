@@ -21,17 +21,8 @@ import numpy as np
 from .geometry import DEFAULT_Q_GAP, IllPositionedError, LqSpace, Placement, rigidity_matrix
 from .graphs import Graph, SparsityParams, f_count, is_sparse
 from .operations import OPERATIONS, henneberg_generate, random_degree_bounded_sparse
-from .rank import (
-    DEFAULT_REL_TOL,
-    DEFAULT_TRIALS,
-    analysis_report,
-    max_rank_sample,
-    numerical_rank,
-    verdict,
-)
+from .rank import DEFAULT_REL_TOL, DEFAULT_TRIALS, max_rank_sample, numerical_rank, verdict
 from . import oracles, surfaces
-
-SCAN_SOURCES = ("henneberg", "sphere", "projective", "degree_bounded")
 
 
 class InputError(ValueError):
@@ -67,6 +58,18 @@ def _space(d: int, q: float) -> LqSpace:
         raise InputError(str(exc)) from exc
 
 
+def _check_sampling(trials: int, seed: int, rel_tol: float) -> None:
+    """The sampling settings that analyze and scan share."""
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
+    # From rel_tol = 1 on, the cutoff reaches the largest singular value and
+    # every rank reads 0.
+    if not 0 < rel_tol < 1:
+        raise InputError("tol must lie in (0, 1)")
+
+
 # -- analyze -----------------------------------------------------------------
 
 
@@ -81,10 +84,18 @@ def run_analyze(
 ) -> dict:
     """Sampled-rank verdict for one graph, optionally comparing an explicit
     placement against the sampled maximum."""
+    _check_sampling(trials, seed, rel_tol)
     g = _load_graph(graph_file)
     space = _space(d, q)
     vd = verdict(g, space, trials=trials, seed=seed, rel_tol=rel_tol)
-    report = analysis_report(g, space, vd, trials, seed)
+    report = {
+        "graph": g.to_json_dict(),
+        "d": d,
+        "q": q,
+        **vd.to_json_dict(),
+        "trials": trials,
+        "seed": seed,
+    }
     if placement_file is not None:
         p = _load_placement(placement_file)
         if p.d != d or p.n != g.n:
@@ -98,6 +109,38 @@ def run_analyze(
 
 
 # -- scan --------------------------------------------------------------------
+
+
+class Source(NamedTuple):
+    """A scan source: its smallest graph in dimension d, and how it makes
+    the i-th graph on n vertices from a seed as (graph, log, base).  `base`
+    names the complex a surface log starts from, and is None elsewhere."""
+
+    lo: Callable[[int], int]
+    make: Callable[[int, int, int, int], tuple[Graph, list, Optional[str]]]
+    # Triangulations of this surface, which are frameworks in d = 3 only.
+    surface: Optional[str] = None
+
+
+def _surface_source(surface: str, lo: int, base_of: Callable[[int, int], str]) -> Source:
+    def make(d: int, n: int, seed: int, i: int) -> tuple[Graph, list, str]:
+        base = base_of(n, i)
+        tri, log = surfaces.generate_triangulation(surface, n, seed, base=base)
+        return tri.graph, log, base
+
+    return Source(lambda d: lo, make, surface)
+
+
+SOURCES: dict[str, Source] = {
+    "henneberg": Source(lambda d: 2 * d, lambda d, n, s, i: (*henneberg_generate(d, n, s), None)),
+    "sphere": _surface_source(surfaces.SPHERE, 4, lambda n, i: "K4"),
+    "projective": _surface_source(
+        surfaces.PROJECTIVE_PLANE, 6, lambda n, i: "K7_minus_K3" if n >= 7 and i % 2 else "K6"
+    ),
+    "degree_bounded": Source(
+        lambda d: d + 2, lambda d, n, s, i: (random_degree_bounded_sparse(d, n, s), [], None)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -115,6 +158,7 @@ class ScanConfig:
     allow_near_euclidean: bool = False
 
     def __post_init__(self) -> None:
+        _check_sampling(self.trials, self.seed, self.rel_tol)
         if self.count < 1:
             raise InputError("count must be >= 1")
         if self.d < 1:
@@ -130,10 +174,10 @@ class ScanConfig:
                     "rank verdicts there are ambiguous (override to force)"
                 )
         for s in self.sources:
-            if s not in SCAN_SOURCES:
+            if s not in SOURCES:
                 raise InputError(f"unknown source {s!r}")
-        if ("sphere" in self.sources or "projective" in self.sources) and self.d != 3:
-            raise InputError("surface sources require d = 3")
+            if SOURCES[s].surface and self.d != 3:
+                raise InputError("surface sources require d = 3")
 
 
 def _scan_instances(config: ScanConfig) -> list[dict]:
@@ -145,36 +189,13 @@ def _scan_instances(config: ScanConfig) -> list[dict]:
         return int(master.integers(2**63))
 
     for source in config.sources:
-        if source == "henneberg":
-            lo = 2 * config.d
-        elif source == "sphere":
-            lo = 4
-        elif source == "projective":
-            lo = 6
-        else:
-            lo = config.d + 2
-        for n in range(lo, config.max_n + 1):
+        src = SOURCES[source]
+        for n in range(src.lo(config.d), config.max_n + 1):
             for i in range(config.count):
                 s = child()
+                g, log, base = src.make(config.d, n, s, i)
                 inst: dict = {"source": source, "n": n, "seed": s}
-                if source == "henneberg":
-                    g, log = henneberg_generate(config.d, n, s)
-                elif source == "degree_bounded":
-                    g = random_degree_bounded_sparse(config.d, n, s)
-                    log = []
-                else:
-                    base = "K6"
-                    if source == "projective" and n >= 7 and i % 2 == 1:
-                        base = "K7_minus_K3"
-                    if source == "sphere":
-                        base = "K4"
-                    tri, log = surfaces.generate_triangulation(
-                        surfaces.SPHERE if source == "sphere" else surfaces.PROJECTIVE_PLANE,
-                        n,
-                        s,
-                        base=base,
-                    )
-                    g = tri.graph
+                if base is not None:
                     inst["base"] = base
                 inst["graph"] = g
                 inst["log"] = [r.to_json_dict() for r in log]
@@ -197,27 +218,23 @@ def run_scan(config: ScanConfig) -> dict:
     candidates = []
     for inst, q in product(instances, config.q_list):
         g = inst["graph"]
-        res = max_rank_sample(
+        vd = max_rank_sample(
             g, LqSpace(config.d, q), trials=config.trials, seed=inst["seed"], rel_tol=config.rel_tol
         )
-        if not res.stable:
+        if not vd.stable:
             marginal += 1
-        elif res.rank == g.m:
+        elif vd.independent:
             predicted += 1
         else:
             candidates.append(
                 {
-                    "source": inst["source"],
+                    **inst,
                     "base": inst.get("base"),
+                    "graph": g.to_json_dict(),
                     "q": q,
                     "d": config.d,
-                    "seed": inst["seed"],
                     "trials": config.trials,
-                    "rank": res.rank,
-                    "edge_count": g.m,
-                    "graph": g.to_json_dict(),
-                    "witness_placement": res.witness.to_json_dict() if res.witness else None,
-                    "log": inst["log"],
+                    **vd.to_json_dict(),
                 }
             )
 
@@ -244,6 +261,8 @@ def run_scan(config: ScanConfig) -> dict:
 
 
 def _run_sparsity(args: argparse.Namespace) -> dict:
+    if args.d is not None and args.d < 1:
+        raise InputError("d must be >= 1")
     g = _load_graph(args.graph)
     if args.k is not None:
         try:
@@ -301,12 +320,9 @@ def _run_gen(args: argparse.Namespace) -> dict:
     if args.base and not args.surface:
         raise InputError("--base needs --surface")
     if args.surface:
-        surface = (
-            surfaces.SPHERE if args.surface == "sphere" else surfaces.PROJECTIVE_PLANE
-        )
         try:
             tri, log = surfaces.generate_triangulation(
-                surface, args.n, args.seed, base=args.base
+                SOURCES[args.surface].surface, args.n, args.seed, base=args.base
             )
         except ValueError as exc:
             raise InputError(str(exc)) from exc

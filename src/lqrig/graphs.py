@@ -34,7 +34,9 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._edges = frozenset(normalized)
+        # Sorted once: the canonical form that equality, hashing and every
+        # reader of `edges` share.
+        self._edges = tuple(sorted(normalized))
         self._adj = tuple(frozenset(s) for s in adj)
 
     # -- queries ---------------------------------------------------------
@@ -46,10 +48,10 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (u, v) with u < v, sorted lexicographically."""
-        return tuple(sorted(self._edges))
+        return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edges
+        return 0 <= u < self.n and v in self._adj[u]
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]

@@ -1,5 +1,10 @@
 """Numerical rank with an explicit tolerance policy, and framework verdicts.
 
+`RankResult` is the rank of one matrix.  `Verdict` is the record of a
+sampled generic rank: every trial's rank, the cutoff and the placement
+that reached the maximum, and the independence and rigidity verdicts read
+from them.
+
 Generic (maximal) rank is estimated by sampling random well-positioned
 placements: regular placements form an open dense set, so any absolutely
 continuous sampling distribution finds one almost surely.  A rank value is
@@ -9,7 +14,7 @@ reported "stable" when at least two sampled placements agree on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,24 +28,65 @@ _RESAMPLE_BUDGET = 64
 
 @dataclass(frozen=True)
 class RankResult:
+    """Rank of one matrix: the singular values above `tolerance_used`."""
+
     rank: int
     singular_values: tuple[float, ...]
     tolerance_used: float
-    trials: int
-    witness: Optional[Placement]
-    trial_ranks: tuple[int, ...]
-    stable: bool
 
 
 @dataclass(frozen=True)
 class Verdict:
-    independent: bool
-    rigid: bool
-    minimally_rigid: bool
-    stress_dim: int
-    target_rank: int
+    """Sampled generic rank of a graph's altered rigidity matrix.
+
+    `rank` is the largest of `trial_ranks`, one per sampled placement;
+    `witness` is the first placement that reached it and `tolerance_used`
+    the singular-value cutoff there.  independent <=> rank = |E|; rigid <=>
+    rank = d|V| - dim(isometries), which is d|V| - d for q != 2 and
+    d|V| - d(d+1)/2 at q = 2.
+    """
+
     rank: int
-    stable: bool
+    edge_count: int
+    target_rank: int
+    trial_ranks: tuple[int, ...]
+    tolerance_used: float
+    witness: Placement
+
+    @property
+    def stable(self) -> bool:
+        return self.trial_ranks.count(self.rank) >= 2
+
+    @property
+    def independent(self) -> bool:
+        return self.rank == self.edge_count
+
+    @property
+    def rigid(self) -> bool:
+        return self.rank == self.target_rank
+
+    @property
+    def minimally_rigid(self) -> bool:
+        return self.independent and self.rigid
+
+    @property
+    def stress_dim(self) -> int:
+        return self.edge_count - self.rank
+
+    def to_json_dict(self) -> dict:
+        return {
+            "rank": self.rank,
+            "edge_count": self.edge_count,
+            "target_rank": self.target_rank,
+            "independent": self.independent,
+            "rigid": self.rigid,
+            "minimally_rigid": self.minimally_rigid,
+            "stress_dim": self.stress_dim,
+            "stable": self.stable,
+            "trial_ranks": list(self.trial_ranks),
+            "tolerance_used": self.tolerance_used,
+            "witness_placement": self.witness.to_json_dict(),
+        }
 
 
 def _as_array(m: Union[RigidityMatrix, np.ndarray]) -> np.ndarray:
@@ -69,7 +115,7 @@ def numerical_rank(
         raise ValueError("matrix has non-finite entries")
     sv = np.linalg.svd(a, compute_uv=False)
     rank, cutoff = _cutoff_rank(sv, a.shape, rel_tol)
-    return RankResult(rank, tuple(float(s) for s in sv), cutoff, 1, None, (rank,), True)
+    return RankResult(rank, tuple(float(s) for s in sv), cutoff)
 
 
 def sample_placement(
@@ -83,28 +129,15 @@ def sample_placement(
     raise RuntimeError("failed to sample a well-positioned placement")
 
 
-def rank_at(
-    g: Graph,
-    placement: Placement,
-    space: LqSpace,
-    rel_tol: float = DEFAULT_REL_TOL,
-    form: str = "altered",
-) -> RankResult:
-    """Rank of the rigidity matrix at one explicit placement."""
-    res = numerical_rank(rigidity_matrix(g, placement, space, form=form), rel_tol)
-    return RankResult(
-        res.rank, res.singular_values, res.tolerance_used, 1, placement, (res.rank,), True
-    )
-
-
 def max_rank_sample(
     g: Graph,
     space: LqSpace,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     rel_tol: float = DEFAULT_REL_TOL,
-) -> RankResult:
-    """Maximum altered-matrix rank over `trials` sampled placements.
+) -> Verdict:
+    """Verdict from the maximum altered-matrix rank over `trials` sampled
+    placements.
 
     Trial i draws from its own generator seeded by (seed, i), so results are
     identical regardless of evaluation order and extending the trial count
@@ -114,53 +147,21 @@ def max_rank_sample(
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    best: Optional[RankResult] = None
     ranks: list[int] = []
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
         p = sample_placement(g, space, rng)
-        res = rank_at(g, p, space, rel_tol)
+        res = numerical_rank(rigidity_matrix(g, p, space), rel_tol)
+        if not ranks or res.rank > max(ranks):
+            top, witness = res, p
         ranks.append(res.rank)
-        if best is None or res.rank > best.rank:
-            best = res
-    assert best is not None
-    top = max(ranks)
-    return RankResult(
-        rank=top,
-        singular_values=best.singular_values,
-        tolerance_used=best.tolerance_used,
-        trials=trials,
-        witness=best.witness,
-        trial_ranks=tuple(ranks),
-        stable=ranks.count(top) >= 2,
-    )
-
-
-def verdict(
-    g: Graph,
-    space: LqSpace,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> Verdict:
-    """Independence/rigidity verdict from sampled maximal rank.
-
-    independent <=> rank = |E|; rigid <=> rank = d|V| - dim(isometries),
-    which is d|V| - d for q != 2 and d|V| - d(d+1)/2 at q = 2.
-    """
-    res = max_rank_sample(g, space, trials=trials, seed=seed, rel_tol=rel_tol)
-    target = space.target_rank(g.n)
-    independent = res.rank == g.m
-    rigid = res.rank == target
     return Verdict(
-        independent=independent,
-        rigid=rigid,
-        minimally_rigid=independent and rigid,
-        stress_dim=g.m - res.rank,
-        target_rank=target,
-        rank=res.rank,
-        stable=res.stable,
+        top.rank, g.m, space.target_rank(g.n), tuple(ranks), top.tolerance_used, witness
     )
+
+
+# The same function under the name that callers asking for a verdict use.
+verdict = max_rank_sample
 
 
 def cokernel_basis(
@@ -174,27 +175,3 @@ def cokernel_basis(
     u, sv, _ = np.linalg.svd(a, full_matrices=True)
     rank, _ = _cutoff_rank(sv, a.shape, rel_tol)
     return np.ascontiguousarray(u[:, rank:].T)
-
-
-def analysis_report(
-    g: Graph,
-    space: LqSpace,
-    vd: Verdict,
-    trials: int,
-    seed: int,
-) -> dict:
-    """AnalysisReport object matching the documented JSON schema."""
-    return {
-        "graph": g.to_json_dict(),
-        "d": space.d,
-        "q": space.q,
-        "rank": vd.rank,
-        "target_rank": vd.target_rank,
-        "independent": vd.independent,
-        "rigid": vd.rigid,
-        "minimally_rigid": vd.minimally_rigid,
-        "stress_dim": vd.stress_dim,
-        "trials": trials,
-        "seed": seed,
-        "stable": vd.stable,
-    }

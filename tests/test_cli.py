@@ -1,14 +1,29 @@
 import json
 
+import numpy as np
 import pytest
 
 from lqrig import cli
 from lqrig.cli import InputError, ScanConfig, main, run_analyze, run_scan
+from lqrig.geometry import LqSpace, Placement, rigidity_matrix
 from lqrig.graphs import Graph, complete_graph, wheel_graph
 from lqrig.operations import OpRecord, apply_record, one_extension
 from lqrig.oracles import wheel_degenerate_placement
-from lqrig.rank import RankResult
+from lqrig.rank import Verdict, numerical_rank
 from lqrig.surfaces import base_complex
+
+# The keys that the analysis report and every scan candidate share.
+VERDICT_KEYS = {
+    "rank", "edge_count", "target_rank", "independent", "rigid", "minimally_rigid",
+    "stress_dim", "stable", "trial_ranks", "tolerance_used", "witness_placement",
+}
+ANALYZE_KEYS = {"graph", "d", "q", "trials", "seed"} | VERDICT_KEYS
+CANDIDATE_KEYS = {"source", "base", "q", "d", "seed", "trials", "graph", "log"} | VERDICT_KEYS
+ALL_SOURCES = ("henneberg", "sphere", "projective", "degree_bounded")
+BAD_SAMPLING = [
+    ("--trials", "0"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "1"), ("--tol", "inf"),
+    ("--seed", "-1"),
+]
 
 
 @pytest.fixture
@@ -22,6 +37,24 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def witness_rank(doc: dict) -> int:
+    """Rank of a report's or candidate's graph at its witness placement."""
+    g = Graph.from_json_dict(doc["graph"])
+    p = Placement.from_json_dict(doc["witness_placement"])
+    return numerical_rank(rigidity_matrix(g, p, LqSpace(doc["d"], doc["q"]))).rank
+
+
+def flat_verdict(g, space, **kwargs):
+    """A stable verdict at a placement in the plane z = 0, where a graph
+    with more than 2|V| - 2 edges loses rank in d = 3."""
+    rng = np.random.default_rng(g.m)
+    p = Placement(3, np.column_stack([rng.uniform(-1, 1, (g.n, 2)), np.zeros(g.n)]))
+    res = numerical_rank(rigidity_matrix(g, p, space))
+    return Verdict(
+        res.rank, g.m, space.target_rank(g.n), (res.rank, res.rank), res.tolerance_used, p
+    )
 
 
 class TestAnalyze:
@@ -84,6 +117,21 @@ class TestAnalyze:
         assert code == 3
         assert "(0, 1)" in capsys.readouterr().err
 
+    def test_report_json_round_trip(self, wheel_file, capsys):
+        code, report = run_cli(
+            ["analyze", "--graph", wheel_file, "-d", "2", "-q", "3", "--trials", "3"], capsys
+        )
+        assert code == 0
+        assert set(report) == ANALYZE_KEYS
+        assert report["trials"] == 3 and len(report["trial_ranks"]) == 3
+        assert max(report["trial_ranks"]) == report["rank"] == witness_rank(report)
+        assert report["edge_count"] == 8 and report["tolerance_used"] > 0
+
+    @pytest.mark.parametrize("flag,value", BAD_SAMPLING)
+    def test_bad_sampling_flag_exit_2(self, wheel_file, flag, value, capsys):
+        assert main(["analyze", "--graph", wheel_file, "-d", "2", "-q", "3", flag, value]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_out_file(self, wheel_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
@@ -111,6 +159,10 @@ class TestSparsity:
 
     def test_invalid_params_exit_2(self, wheel_file, capsys):
         assert main(["sparsity", "--graph", wheel_file, "--k", "2", "--l", "5"]) == 2
+
+    @pytest.mark.parametrize("flags", [["-d", "0"], ["--k", "2", "--l", "1", "-d", "0"]])
+    def test_bad_dimension_exit_2(self, wheel_file, flags, capsys):
+        assert main(["sparsity", "--graph", wheel_file, *flags]) == 2
 
 
 class TestOp:
@@ -279,11 +331,90 @@ class TestScan:
         assert totals["cells"] == totals["predicted"] + totals["candidates"] + totals["marginal"]
         assert totals["candidates"] == 0
 
-    def test_surface_candidates_replay(self, monkeypatch):
-        def one_short(g, space, **kwargs):
-            return RankResult(g.m - 1, (), 0.0, 1, None, (g.m - 1, g.m - 1), True)
+    # (source, n, seed, base, edges as "uv" pairs) of every instance, as the
+    # scan drew them before its sources became one table.
+    PINNED_INSTANCES = [
+        ("henneberg", 6, 4720721261117928063, None,
+         "01 02 03 04 05 12 13 14 15 23 24 25 34 35 45"),
+        ("henneberg", 6, 8766480278738261043, None,
+         "01 02 03 04 05 12 13 14 15 23 24 25 34 35 45"),
+        ("henneberg", 7, 1329637740802083942, None,
+         "01 02 03 04 05 12 13 14 15 23 24 25 26 34 35 36 46 56"),
+        ("henneberg", 7, 8749746783503398889, None,
+         "01 02 03 04 05 12 13 14 16 23 24 25 26 34 35 36 45 56"),
+        ("sphere", 4, 2876137494685333844, "K4",
+         "01 02 03 12 13 23"),
+        ("sphere", 4, 3904497331914684452, "K4",
+         "01 02 03 12 13 23"),
+        ("sphere", 5, 7634208958675629714, "K4",
+         "01 03 04 12 13 14 23 24 34"),
+        ("sphere", 5, 3774195871892446565, "K4",
+         "01 02 03 04 12 14 23 24 34"),
+        ("sphere", 6, 5069107050515594517, "K4",
+         "01 02 05 12 13 14 15 23 24 25 34 35"),
+        ("sphere", 6, 254187954446631217, "K4",
+         "01 02 03 04 05 12 13 15 23 34 35 45"),
+        ("sphere", 7, 6949931735954725146, "K4",
+         "01 03 05 13 14 15 16 23 24 25 34 35 36 45 46"),
+        ("sphere", 7, 4963495986967072338, "K4",
+         "01 03 04 05 06 12 13 15 23 24 25 26 34 46 56"),
+        ("projective", 6, 3041238293621853348, "K6",
+         "01 02 03 04 05 12 13 14 15 23 24 25 34 35 45"),
+        ("projective", 6, 7271971256255212165, "K6",
+         "01 02 03 04 05 12 13 14 15 23 24 25 34 35 45"),
+        ("projective", 7, 2796478710207515810, "K6",
+         "01 03 06 12 13 14 15 16 23 24 25 26 34 35 36 45 46 56"),
+        ("projective", 7, 4182779752608499223, "K7_minus_K3",
+         "01 02 03 04 05 06 12 13 14 15 16 23 24 25 26 34 35 36"),
+        ("degree_bounded", 5, 1236316442162053381, None,
+         "01 02 03 04 12 13 14 23 24 34"),
+        ("degree_bounded", 5, 3718061046889470638, None,
+         "01 02 03 04 12 13 14 23 24 34"),
+        ("degree_bounded", 6, 1876543377603957418, None,
+         "01 05 12 13 15 23 34 35"),
+        ("degree_bounded", 6, 2419413529125322486, None,
+         "01 03 04 05 12 13 14 23 24 25 34 35"),
+        ("degree_bounded", 7, 6920892538979715961, None,
+         "01 02 03 04 05 12 13 15 16 23 24 26 34 35 45 46 56"),
+        ("degree_bounded", 7, 2586314297297619874, None,
+         "01 02 03 04 06 12 13 14 15 23 26 34 35 45 46"),
+    ]
 
-        monkeypatch.setattr(cli, "max_rank_sample", one_short)
+    def test_pinned_instances(self):
+        config = ScanConfig(d=3, q_list=(3.0,), max_n=7, count=2, seed=1, sources=ALL_SOURCES)
+        instances = cli._scan_instances(config)
+        assert [
+            (
+                inst["source"], inst["n"], inst["seed"], inst.get("base"),
+                " ".join(f"{u}{v}" for u, v in inst["graph"].edges),
+            )
+            for inst in instances
+        ] == self.PINNED_INSTANCES
+        for inst in instances:
+            base = {"base"} if inst["source"] in ("sphere", "projective") else set()
+            assert set(inst) == {"source", "n", "seed", "graph", "log"} | base
+
+    def test_candidate_json_round_trip(self, monkeypatch):
+        monkeypatch.setattr(cli, "max_rank_sample", flat_verdict)
+        config = ScanConfig(d=3, q_list=(3.0,), max_n=7, count=1, seed=2, sources=ALL_SOURCES)
+        summary = json.loads(json.dumps(run_scan(config)))
+        candidates = summary["candidates"]
+        assert len(candidates) == summary["totals"]["candidates"] > 0
+        for c in candidates:
+            assert CANDIDATE_KEYS <= set(c)
+            assert c["stable"] and not c["independent"]
+            assert c["edge_count"] == len(c["graph"]["edges"])
+            assert witness_rank(c) == c["rank"] < c["edge_count"]
+            assert (c["base"] is None) == (c["source"] not in ("sphere", "projective"))
+
+    @pytest.mark.parametrize("flag,value", BAD_SAMPLING)
+    def test_bad_sampling_flag_exit_2(self, flag, value, capsys):
+        argv = ["scan", "-d", "3", "-q", "3", "--max-n", "6", "--count", "1", flag, value]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_surface_candidates_replay(self, monkeypatch):
+        monkeypatch.setattr(cli, "max_rank_sample", flat_verdict)
         summary = run_scan(
             ScanConfig(d=3, q_list=(3.0,), max_n=9, count=2, seed=1, sources=("projective",))
         )

@@ -45,6 +45,20 @@ class TestGraph:
             assert v in g.neighbors(u) and u in g.neighbors(v)
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
 
+    def test_edges_canonical(self):
+        a = Graph(4, [(3, 1), (0, 2), (2, 1)])
+        b = Graph(4, [(0, 2), (1, 2), (1, 3)])
+        assert a.edges == b.edges == ((0, 2), (1, 2), (1, 3))
+        assert a == b and hash(a) == hash(b)
+        assert a != Graph(5, b.edges)
+
+    def test_has_edge_out_of_range(self):
+        g = Graph(3, [(0, 2), (1, 2)])
+        assert g.has_edge(0, 2) and g.has_edge(2, 1) and not g.has_edge(0, 1)
+        # -1 must not wrap to vertex 2
+        for u, v in [(-1, 0), (0, -1), (-1, 1), (3, 0), (0, 3), (-1, -1)]:
+            assert not g.has_edge(u, v)
+
     def test_json_round_trip(self):
         g = wheel_graph(6)
         assert Graph.from_json_dict(g.to_json_dict()) == g
