@@ -367,6 +367,8 @@ def _run_oracle(args: argparse.Namespace) -> dict:
         raise InputError(f"unknown oracle {name!r}")
     if not args.q:
         raise InputError(f"{name} needs -q")
+    if not 1.0 < args.q[0] < np.inf:
+        raise InputError("q must lie in (1, inf)")
     oracle = ORACLES[name]
     given = {"d": args.d, "q": args.q[0], "gamma": args.gamma}
     if oracle.selects_gamma and args.gamma is None:

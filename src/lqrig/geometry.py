@@ -84,10 +84,7 @@ class Placement:
 
     def offending_edge(self, g: Graph) -> Optional[tuple[int, int]]:
         """First edge (lexicographically) whose endpoints coincide, if any."""
-        for v, w in g.edges:
-            if np.array_equal(self.coords[v], self.coords[w]):
-                return (v, w)
-        return None
+        return _edge_differences(g, self.coords)[3]
 
     def well_positioned(self, g: Graph) -> bool:
         return self.offending_edge(g) is None
@@ -106,6 +103,15 @@ class Placement:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed placement object: {exc}") from exc
         return cls(d, np.array(coords, dtype=float).reshape(len(coords), d))
+
+
+def _edge_differences(g: Graph, coords: np.ndarray) -> tuple:
+    """Endpoint arrays v < w of g's edges in lexicographic order, the rows
+    p_v - p_w, and the first edge whose endpoints coincide (None if none)."""
+    v, w = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
+    diff = coords[v] - coords[w]
+    hit = np.flatnonzero(~diff.any(axis=1))
+    return v, w, diff, (g.edges[hit[0]] if hit.size else None)
 
 
 def signed_pow(x: np.ndarray, s: float) -> np.ndarray:
@@ -170,13 +176,13 @@ def rigidity_matrix(
     if placement.d != space.d:
         raise ValueError("placement dimension does not match the space")
     d, q = space.d, space.q
-    edges = g.edges
-    m = np.zeros((len(edges), d * g.n))
-    for r, (v, w) in enumerate(edges):
-        diff = placement.coords[v] - placement.coords[w]
-        if not np.any(diff):
-            raise IllPositionedError((v, w))
-        row = signed_pow(diff, q - 1.0) if form == "altered" else support_row(diff, q)
-        m[r, d * v : d * v + d] = row
-        m[r, d * w : d * w + d] = -row
-    return RigidityMatrix(entries=m, form=form, d=d, q=q, edge_order=edges)
+    v, w, diff, bad = _edge_differences(g, placement.coords)
+    if bad is not None:
+        raise IllPositionedError(bad)
+    rows = signed_pow(diff, q - 1.0)
+    if form == "standard":
+        rows /= (np.sum(np.abs(diff) ** q, axis=1) ** (1.0 / q))[:, None] ** (q - 2.0)
+    m = np.zeros((g.m, g.n, d))
+    r = np.arange(g.m)
+    m[r, v], m[r, w] = rows, -rows
+    return RigidityMatrix(m.reshape(g.m, d * g.n), form, d, q, g.edges)

@@ -9,6 +9,8 @@ Generic (maximal) rank is estimated by sampling random well-positioned
 placements: regular placements form an open dense set, so any absolutely
 continuous sampling distribution finds one almost surely.  A rank value is
 reported "stable" when at least two sampled placements agree on it.
+Sampling stops once two placements reach the ceiling min(|E|, target
+rank): no further placement can raise the rank, and it is already stable.
 """
 
 from __future__ import annotations
@@ -136,17 +138,20 @@ def max_rank_sample(
     seed: int = 0,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> Verdict:
-    """Verdict from the maximum altered-matrix rank over `trials` sampled
-    placements.
+    """Verdict from the maximum altered-matrix rank over at most `trials`
+    sampled placements.
 
     Trial i draws from its own generator seeded by (seed, i), so results are
     identical regardless of evaluation order and extending the trial count
-    only appends new samples.
+    only appends new samples.  Sampling stops at the second trial that
+    reaches min(|E|, target rank): `trial_ranks` is then a prefix of the
+    full run's, and the verdict, cutoff and witness are the full run's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    ceiling = min(g.m, space.target_rank(g.n))
     ranks: list[int] = []
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
@@ -155,6 +160,8 @@ def max_rank_sample(
         if not ranks or res.rank > max(ranks):
             top, witness = res, p
         ranks.append(res.rank)
+        if sum(r >= ceiling for r in ranks) == 2:
+            break
     return Verdict(
         top.rank, g.m, space.target_rank(g.n), tuple(ranks), top.tolerance_used, witness
     )

@@ -123,7 +123,8 @@ class TestAnalyze:
         )
         assert code == 0
         assert set(report) == ANALYZE_KEYS
-        assert report["trials"] == 3 and len(report["trial_ranks"]) == 3
+        # Sampling stops at the second trial that reaches min(|E|, 2|V| - 2) = 8.
+        assert report["trials"] == 3 and report["trial_ranks"] == [8, 8]
         assert max(report["trial_ranks"]) == report["rank"] == witness_rank(report)
         assert report["edge_count"] == 8 and report["tolerance_used"] > 0
 
@@ -287,6 +288,14 @@ class TestOracleCommand:
 
     def test_unknown_exit_2(self, capsys):
         assert main(["oracle", "--name", "nope", "-q", "3"]) == 2
+
+    @pytest.mark.parametrize("name", ["wheel_det", "gamma_select", "k7k3_f"])
+    @pytest.mark.parametrize("q", ["0.5", "1", "-2", "inf", "nan"])
+    def test_q_outside_range_exit_2(self, name, q, capsys):
+        args = ["oracle", "--name", name, "-q", q, "--gamma", "0.3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
 
 class TestScan:

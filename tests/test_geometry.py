@@ -13,8 +13,42 @@ from lqrig.geometry import (
     support_row,
 )
 from lqrig.graphs import Graph, complete_graph, wheel_graph
+from lqrig.operations import henneberg_generate
 from lqrig.oracles import WHEEL_EDGE_ORDER, wheel_altered_matrix, wheel_placement
 from lqrig.rank import numerical_rank, sample_placement
+
+PINNED_QS = (1.1, 1.5, 3.0, 6.0, 10.0, 24.0)
+
+
+def per_edge_matrix(g: Graph, p: Placement, space: LqSpace, form: str) -> np.ndarray:
+    """The rigidity matrix built one edge at a time, as the reference for
+    the array build."""
+    d, q = space.d, space.q
+    m = np.zeros((g.m, d * g.n))
+    for r, (v, w) in enumerate(g.edges):
+        diff = p.coords[v] - p.coords[w]
+        row = signed_pow(diff, q - 1.0) if form == "altered" else support_row(diff, q)
+        m[r, d * v : d * v + d] = row
+        m[r, d * w : d * w + d] = -row
+    return m
+
+
+def pinned_cases():
+    """(graph, space, placement) over several graphs, dimensions, scales and q."""
+    rng = np.random.default_rng(11)
+    graphs = [
+        complete_graph(6),
+        wheel_graph(7),
+        henneberg_generate(3, 12, 4)[0],
+        Graph(5, [(0, 3), (1, 4)]),
+        Graph(3),
+    ]
+    for g in graphs:
+        for d in (1, 2, 3):
+            for q in PINNED_QS:
+                space = LqSpace(d, q)
+                for scale in (1.0, 1e-3, 1e3):
+                    yield g, space, sample_placement(g, space, rng).scaled(scale)
 
 
 class TestSignedPow:
@@ -104,12 +138,33 @@ class TestRigidityMatrix:
             for r, e in enumerate(WHEEL_EDGE_ORDER):
                 assert np.allclose(displayed[r], built.entries[lex[e]])
 
+    def test_altered_matches_per_edge_build(self):
+        for g, space, p in pinned_cases():
+            built = rigidity_matrix(g, p, space, form="altered").entries
+            assert np.array_equal(built, per_edge_matrix(g, p, space, "altered"))
+
+    def test_standard_matches_per_edge_build(self):
+        # The array build takes the row norms as array powers rather than
+        # scalar ones, so the last bits may differ.
+        for g, space, p in pinned_cases():
+            built = rigidity_matrix(g, p, space, form="standard").entries
+            ref = per_edge_matrix(g, p, space, "standard")
+            assert built.shape == ref.shape
+            assert np.all(np.abs(built - ref) <= 1e-13 * np.abs(ref))
+
     def test_ill_positioned_reports_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])
         p = Placement(2, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(IllPositionedError) as exc:
             rigidity_matrix(g, p, LqSpace(2, 3.0))
         assert exc.value.edge == (0, 1)
+        # Several coincident edges: the lexicographically first is named,
+        # whatever order the edges were given in.
+        g = Graph(5, [(3, 4), (2, 4), (1, 2), (0, 4), (0, 1)])
+        p = Placement(2, [[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0]])
+        with pytest.raises(IllPositionedError) as exc:
+            rigidity_matrix(g, p, LqSpace(2, 3.0))
+        assert exc.value.edge == (2, 4)
 
     def test_translation_kernel(self):
         rng = np.random.default_rng(5)
@@ -175,6 +230,13 @@ class TestSpacesAndPlacements:
         assert Placement(2, [[0.0, 0.0], [1.0, 0.0]]).well_positioned(g)
         bad = Placement(2, [[1.0, 2.0], [1.0, 2.0]])
         assert bad.offending_edge(g) == (0, 1)
+        assert not bad.well_positioned(g)
+        g = Graph(5, [(3, 4), (2, 4), (1, 2), (0, 4), (0, 1)])
+        coords = [[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0]]
+        assert Placement(2, coords).offending_edge(g) == (2, 4)
+        coords[1] = [0.0, -0.0]
+        assert Placement(2, coords).offending_edge(g) == (0, 1)
+        assert Placement(2, coords).well_positioned(Graph(5, [(1, 2), (3, 0)]))
 
     def test_placement_json_round_trip(self):
         p = Placement(2, [[0.5, -1.0], [2.0, 3.0]])

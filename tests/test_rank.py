@@ -12,6 +12,7 @@ from lqrig.rank import (
     cokernel_basis,
     max_rank_sample,
     numerical_rank,
+    sample_placement,
     verdict,
 )
 
@@ -19,6 +20,26 @@ from lqrig.rank import (
 def octahedron() -> Graph:
     missing = {(0, 1), (2, 3), (4, 5)}
     return Graph(6, [e for e in complete_graph(6).edges if e not in missing])
+
+
+def k5_plus_isolated() -> Graph:
+    """Rank 8 in l_q^2 against a ceiling min(10, 2*6 - 2) = 10."""
+    return Graph(6, complete_graph(5).edges)
+
+
+def reference_trials(g, space, trials, seed):
+    """(rank, placement, cutoff) of every trial of the one-placement-at-a-time
+    loop, and the number of trials up to the second that reaches
+    min(|E|, target rank)."""
+    ceiling = min(g.m, space.target_rank(g.n))
+    out, cut = [], trials
+    for i in range(trials):
+        p = sample_placement(g, space, np.random.default_rng([seed, i]))
+        res = numerical_rank(rigidity_matrix(g, p, space))
+        out.append((res.rank, p, res.tolerance_used))
+        if cut == trials and sum(r >= ceiling for r, _, _ in out) == 2:
+            cut = i + 1
+    return out, cut
 
 
 class TestNumericalRank:
@@ -98,6 +119,33 @@ class TestMaxRankSample:
         res = max_rank_sample(g, space, seed=4)
         doubled = numerical_rank(rigidity_matrix(g, res.witness.scaled(2.0), space))
         assert doubled.rank == res.rank
+
+    def test_never_at_ceiling_runs_every_trial(self):
+        for trials in (1, 3, 8):
+            res = max_rank_sample(k5_plus_isolated(), LqSpace(2, 1.5), trials=trials, seed=6)
+            assert res.rank == 8 and len(res.trial_ranks) == trials
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 8])
+    def test_matches_reference_loop(self, trials):
+        cases = [
+            (wheel_graph(5), LqSpace(2, 3.0)),
+            (complete_graph(5), LqSpace(3, 1.5)),
+            (octahedron(), LqSpace(3, 3.0)),
+            (path_graph(3), LqSpace(2, 2.5)),
+            (complete_graph(3), LqSpace(2, 2.0)),
+            (k5_plus_isolated(), LqSpace(2, 6.0)),
+        ]
+        for g, space in cases:
+            for seed in (0, 7):
+                ref, cut = reference_trials(g, space, trials, seed)
+                ranks = [r for r, _, _ in ref]
+                top = ranks.index(max(ranks))
+                res = max_rank_sample(g, space, trials=trials, seed=seed)
+                # The early exit keeps a prefix and the full loop's verdict.
+                assert res.trial_ranks == tuple(ranks[:cut])
+                assert res.rank == ranks[top] and res.stable == (ranks.count(res.rank) >= 2)
+                assert res.tolerance_used == ref[top][2]
+                assert np.array_equal(res.witness.coords, ref[top][1].coords)
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
