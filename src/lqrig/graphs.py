@@ -7,6 +7,8 @@ Named vertices, if any, live in the I/O layer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -97,12 +99,46 @@ class Graph:
     # -- functional updates ----------------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, list(self._edges) + [(u, v)])
+        return self._derive(self.n, [(u, v)])
 
     def with_vertex(self, nbrs: Iterable[int] = ()) -> "Graph":
         """Append vertex n adjacent to `nbrs`."""
-        new = [(w, self.n) for w in nbrs]
-        return Graph(self.n + 1, list(self._edges) + new)
+        return self._derive(self.n + 1, [(w, self.n) for w in nbrs])
+
+    def _derive(
+        self, n: int, added: Iterable[tuple[int, int]], removed: Iterable[tuple[int, int]] = ()
+    ) -> "Graph":
+        """This graph on n >= self.n vertices less `removed` (which must be
+        edges) plus `added`.  Only the new edges are checked, with the errors
+        of `__init__`, and only the touched vertices' neighbour sets rebuilt."""
+        edges = list(self._edges)
+        adj = list(self._adj) + [frozenset()] * (n - self.n)
+        gone, new = defaultdict(set), defaultdict(set)
+        for u, v in removed:
+            e = (u, v) if u < v else (v, u)
+            i = bisect_left(edges, e)
+            if i == len(edges) or edges[i] != e:
+                raise ValueError(f"{e} is not an edge")
+            del edges[i]
+            gone[u].add(v)
+            gone[v].add(u)
+        for u, v in added:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            e = (u, v) if u < v else (v, u)
+            i = bisect_left(edges, e)
+            if i < len(edges) and edges[i] == e:
+                raise ValueError(f"duplicate edge {e}")
+            edges.insert(i, e)
+            new[u].add(v)
+            new[v].add(u)
+        for u in gone.keys() | new.keys():
+            adj[u] = adj[u] - gone[u] | new[u]
+        out = Graph.__new__(Graph)
+        out.n, out._edges, out._adj = n, tuple(edges), tuple(adj)
+        return out
 
     def without_edges_at(self, v: int) -> "Graph":
         """Same vertex set with v isolated."""

@@ -61,11 +61,7 @@ def brace(g: Graph, s: Sequence[int], d: int) -> tuple[Graph, OpRecord]:
         raise ValueError(f"bracing set must have exactly {2 * d} vertices, got {len(s)}")
     _check_vertices(g, s, "bracing set")
     v0, v1 = g.n, g.n + 1
-    edges = list(g.edges)
-    edges += [(w, v0) for w in s]
-    edges += [(w, v1) for w in s]
-    edges.append((v0, v1))
-    out = Graph(g.n + 2, edges)
+    out = g._derive(g.n + 2, [(w, v0) for w in s] + [(w, v1) for w in s] + [(v0, v1)])
     return out, OpRecord("brace", {"s": sorted(s), "d": d}, g.n, out.n)
 
 
@@ -92,9 +88,7 @@ def one_extension(
         raise ValueError(f"removed pair {(x, y)} is not an edge")
     if x not in nbrs or y not in nbrs:
         raise ValueError("removed edge endpoints must lie among the neighbours")
-    edges = [e for e in g.edges if e != (x, y)]
-    edges += [(w, g.n) for w in nbrs]
-    out = Graph(g.n + 1, edges)
+    out = g._derive(g.n + 1, [(w, g.n) for w in nbrs], [(x, y)])
     return out, OpRecord(
         "ext1", {"nbrs": sorted(nbrs), "removed": [x, y], "d": d}, g.n, out.n
     )
@@ -130,12 +124,8 @@ def vertex_split(
     if set(shared) & set(moved):
         raise ValueError("shared and moved sets must be disjoint")
     w0 = g.n
-    edges = [e for e in g.edges if not (v0 in e and (e[0] in moved or e[1] in moved))]
-    edges += [(w, w0) for w in shared]
-    edges += [(w, w0) for w in moved]
-    if not spider:
-        edges.append((v0, w0))
-    out = Graph(g.n + 1, edges)
+    added = [(w, w0) for w in shared + moved] + ([] if spider else [(v0, w0)])
+    out = g._derive(g.n + 1, added, [(v0, w) for w in moved])
     kind = "spider" if spider else "vsplit"
     return out, OpRecord(
         kind,

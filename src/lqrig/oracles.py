@@ -142,6 +142,8 @@ def k7k3_placement(gamma: float) -> Placement:
 def k7k3_f(gamma: float, q: float) -> float:
     """f(gamma) = (2^{q-1} - 1) gamma^{q-1} + (1-gamma)^{q-1} - 1; the
     second factor of det R.  f(1) = 2^{q-1} - 2."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
     two = 2.0 ** (q - 1.0)
     return (two - 1.0) * gamma ** (q - 1.0) + (1.0 - gamma) ** (q - 1.0) - 1.0
 

@@ -10,14 +10,14 @@ Sphere triangulations satisfy |E| = 3|V| - 6, projective-plane ones
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphs import Graph
-from .operations import OpRecord
+from .operations import OpRecord, vertex_split
 
 SPHERE = "sphere"
 PROJECTIVE_PLANE = "projective_plane"
@@ -189,9 +189,9 @@ def topological_vertex_split(
     the stored cyclic order) plus the new vertex w0, which takes the other
     arc.  Faces (v, w0, a) and (v, w0, b) are added.  As a graph operation
     this is the 3-dimensional vertex split with shared neighbours {a, b}
-    that moves the interior of the arc b..a to w0.  The record is that
-    split's record, which `operations.apply_record` replays on the graph,
-    with `a` and `b` added for `replay_splits`, which rebuilds the faces.
+    that moves the interior of the arc b..a to w0, and the graph and record
+    come from that d = 3 `operations.vertex_split`.  The record, which
+    `apply_record` replays, gains `a` and `b` for `replay_splits`.
 
     Precondition: `t` is a valid triangulation (see `validate`).  The output
     is then valid too, so it is not re-checked: the edit is local to the
@@ -227,14 +227,14 @@ def topological_vertex_split(
     faces.append(tuple(sorted((v, w0, a))))
     faces.append(tuple(sorted((v, w0, b))))
 
-    out = from_faces(t.surface, t.n + 1, faces)
-    moved = sorted(cyc[ib + 1 :])
-    params = {"v0": v, "shared": sorted((a, b)), "moved": moved, "d": 3, "a": a, "b": b}
-    return out, OpRecord("vsplit", params, t.n, out.n)
+    graph, rec = vertex_split(t.graph, v, (a, b), cyc[ib + 1 :], 3)
+    out = SurfaceTriangulation(graph, tuple(faces), t.surface)
+    return out, replace(rec, params={**rec.params, "a": a, "b": b})
 
 
 def split_candidates(t: SurfaceTriangulation) -> list[tuple[int, int, int]]:
-    """All (v, a, b) triples with a, b distinct on the link of v."""
+    """All (v, a, b) triples with a, b distinct on the link of v, in the
+    order whose index `generate_triangulation` draws."""
     out = []
     for v in range(t.n):
         cycle = link_cycle(t, v)
@@ -252,7 +252,10 @@ def generate_triangulation(
     base: Optional[str] = None,
 ) -> tuple[SurfaceTriangulation, list[OpRecord]]:
     """Grow a random triangulation to n vertices by uniformly random
-    topological vertex splits; deterministic per seed."""
+    topological vertex splits; deterministic per seed.  Each step draws an
+    index into the candidates in `split_candidates` order, found without
+    listing them (`_split_at`); each split's graph comes from the d = 3
+    `operations.vertex_split`."""
     if base is None:
         base = "K4" if surface == SPHERE else "K6"
     t = base_complex(base)
@@ -263,10 +266,23 @@ def generate_triangulation(
     rng = np.random.default_rng(seed)
     records: list[OpRecord] = []
     while t.n < n:
-        cands = split_candidates(t)
-        t, rec = topological_vertex_split(t, *cands[int(rng.integers(len(cands)))])
+        count = sum(deg * (deg - 1) for deg in map(t.graph.degree, range(t.n)))
+        t, rec = topological_vertex_split(t, *_split_at(t, int(rng.integers(count))))
         records.append(rec)
     return t, records
+
+
+def _split_at(t: SurfaceTriangulation, k: int) -> tuple[int, int, int]:
+    """`split_candidates(t)[k]` from the degrees and one link cycle: vertex
+    v lists deg(v) (deg(v) - 1) candidates, as its link holds deg(v) vertices."""
+    for v in range(t.n):
+        deg = t.graph.degree(v)
+        if k < deg * (deg - 1):
+            break
+        k -= deg * (deg - 1)
+    cycle = link_cycle(t, v)
+    i, j = divmod(k, deg - 1)
+    return v, cycle[i], cycle[j + (j >= i)]
 
 
 def replay_splits(

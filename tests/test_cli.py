@@ -289,6 +289,12 @@ class TestOracleCommand:
     def test_unknown_exit_2(self, capsys):
         assert main(["oracle", "--name", "nope", "-q", "3"]) == 2
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-0.5", "1.5", "1e300"])
+    def test_k7k3_f_gamma_outside_range_exit_2(self, gamma, capsys):
+        assert main(["oracle", "--name", "k7k3_f", "-q", "3", "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
     @pytest.mark.parametrize("name", ["wheel_det", "gamma_select", "k7k3_f"])
     @pytest.mark.parametrize("q", ["0.5", "1", "-2", "inf", "nan"])
     def test_q_outside_range_exit_2(self, name, q, capsys):

@@ -12,6 +12,7 @@ from lqrig.graphs import (
     wheel_graph,
 )
 from lqrig.operations import (
+    OPERATIONS,
     apply_record,
     brace,
     cone,
@@ -29,7 +30,13 @@ from lqrig.operations import (
     zero_extension,
 )
 from lqrig.rank import verdict
-from lqrig.surfaces import PROJECTIVE_PLANE, SPHERE, base_complex, generate_triangulation
+from lqrig.surfaces import (
+    PROJECTIVE_PLANE,
+    SPHERE,
+    base_complex,
+    from_faces,
+    generate_triangulation,
+)
 
 from bruteforce import brute_sparse, is_isomorphic
 
@@ -269,6 +276,45 @@ class TestHenneberg:
         with pytest.raises(ValueError):
             henneberg_generate(2, 3, seed=0)
 
+    # Edges and log per d at seed 5, as the generator made them when every
+    # step rebuilt the graph from its edge list.  A change in how the
+    # generator consumes its random stream shows here.
+    PINNED = {
+        2: (
+            8,
+            ((0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 5), (1, 6), (1, 7), (2, 3),
+             (3, 4), (3, 5), (3, 7), (5, 6), (6, 7)),
+            (
+                ("ext0", {"s": [0, 3], "d": 2}),
+                ("ext1", {"nbrs": [0, 1, 3], "removed": [0, 3], "d": 2}),
+                ("ext1", {"nbrs": [0, 1, 5], "removed": [0, 1], "d": 2}),
+                ("ext1", {"nbrs": [1, 3, 6], "removed": [1, 3], "d": 2}),
+            ),
+        ),
+        3: (
+            10,
+            ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 8), (1, 3), (1, 4),
+             (1, 5), (1, 8), (1, 9), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4),
+             (3, 5), (3, 7), (4, 5), (4, 6), (4, 7), (5, 8), (6, 9), (7, 9), (8, 9)),
+            (
+                ("ext0", {"s": [0, 2, 4], "d": 3}),
+                ("ext1", {"nbrs": [1, 2, 3, 4], "removed": [1, 2], "d": 3}),
+                ("ext0", {"s": [0, 1, 5], "d": 3}),
+                ("ext1", {"nbrs": [1, 6, 7, 8], "removed": [1, 7], "d": 3}),
+            ),
+        ),
+    }
+
+    def test_pinned_outputs(self):
+        for d, (n, edges, steps) in self.PINNED.items():
+            g, log = henneberg_generate(d, n, seed=5)
+            assert g.edges == edges
+            assert [r.to_json_dict() for r in log] == [
+                {"kind": kind, "params": params, "before_n": 2 * d + i, "after_n": 2 * d + i + 1}
+                for i, (kind, params) in enumerate(steps)
+            ]
+            assert henneberg_replay(d, log) == g
+
 
 class TestIndependenceTransfer:
     """Small sampled checks; the acceptance suite runs the full battery."""
@@ -365,3 +411,84 @@ class TestRecords:
         for (src, out, rec), back in zip(cases, records):
             assert apply_record(src, back) == out, rec.kind
             assert rec.before_n == src.n and rec.after_n == out.n
+
+
+def assert_fresh(out: Graph) -> None:
+    """`out` equals the graph built from scratch on its edges, down to the
+    hash and every neighbour set."""
+    fresh = Graph(out.n, out.edges)
+    assert out == fresh and hash(out) == hash(fresh)
+    for v in range(out.n):
+        assert out.neighbors(v) == fresh.neighbors(v)
+        assert type(out.neighbors(v)) is frozenset
+
+
+class TestDerivedGraphs:
+    """Operations derive their graph from the parent's edges and adjacency
+    and check only the new edges; a fresh build is the reference."""
+
+    # Params for every operation kind on the wheel W5, at d = 2.
+    PARAMS = {
+        "cone": {},
+        "brace": {"s": [0, 1, 2, 4], "d": 2},
+        "ext0": {"s": [1, 2], "d": 2},
+        "ext1": {"nbrs": [1, 2, 3], "removed": [1, 2], "d": 2},
+        "vsplit": {"v0": 0, "shared": [1], "moved": [3, 4], "d": 2},
+        "spider": {"v0": 0, "shared": [1, 2], "moved": [3], "d": 2},
+        "subst": {
+            "v0": 0,
+            "h": complete_graph(3).to_json_dict(),
+            "assign": {"1": 0, "2": 1, "3": 2, "4": 0},
+        },
+        "reduce1": {"v": 1, "d": 2},
+    }
+
+    def test_every_operation_kind(self):
+        assert set(self.PARAMS) == set(OPERATIONS)
+        g = wheel_graph(5)
+        before = (g.edges, [g.neighbors(v) for v in range(g.n)], hash(g))
+        for kind, params in self.PARAMS.items():
+            made = OPERATIONS[kind].apply(g, params)
+            assert made is not None, kind
+            assert_fresh(made[0])
+        assert (g.edges, [g.neighbors(v) for v in range(g.n)], hash(g)) == before
+
+    def test_with_edge_and_vertex(self):
+        g = wheel_graph(5)
+        for out in (
+            g.with_edge(1, 3),
+            g.with_edge(4, 2),
+            g.with_vertex([4, 0, 2]),
+            g.with_vertex(),
+            Graph(0).with_vertex(),
+            Graph(2).with_edge(1, 0),
+        ):
+            assert_fresh(out)
+
+    def test_new_edges_checked(self):
+        g = wheel_graph(5)
+        bad_edges = [(1, 2, "duplicate"), (2, 1, "duplicate"), (3, 3, "self-loop"),
+                     (1, 5, "out of range"), (-1, 2, "out of range")]
+        for u, v, message in bad_edges:
+            with pytest.raises(ValueError, match=message):
+                g.with_edge(u, v)
+        bad_nbrs = [([1, 1], "duplicate"), ([0, 5], "self-loop"), ([6], "out of range"),
+                    ([-1], "out of range")]
+        for nbrs, message in bad_nbrs:
+            with pytest.raises(ValueError, match=message):
+                g.with_vertex(nbrs)
+
+    def test_grown_graphs(self):
+        for d in (2, 3):
+            g, log = henneberg_generate(d, 30, seed=d)
+            replayed = complete_graph(2 * d)
+            for rec in log:
+                replayed = apply_record(replayed, rec)
+                assert_fresh(replayed)
+            assert replayed == g
+        for surface, base in ((SPHERE, "K4"), (PROJECTIVE_PLANE, "K6"),
+                              (PROJECTIVE_PLANE, "K7_minus_K3")):
+            for n in (base_complex(base).n + 1, 12, 25):
+                t, _ = generate_triangulation(surface, n, seed=n, base=base)
+                assert_fresh(t.graph)
+                assert t.graph == from_faces(surface, t.n, t.faces).graph

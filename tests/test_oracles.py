@@ -94,6 +94,13 @@ class TestK7K3Oracle:
         for q in Q_GRID:
             assert np.isclose(k7k3_f(1.0, q), 2 ** (q - 1) - 2)
 
+    def test_f_domain(self):
+        for q in (1.5, 3.0):
+            assert k7k3_f(0.0, q) == 0.0
+            for gamma in (-0.5, 1.5, float("nan"), float("inf"), 1e300):
+                with pytest.raises(ValueError, match="gamma"):
+                    k7k3_f(gamma, q)
+
     def test_gamma_half_is_always_a_root(self):
         for q in (1.3, 1.5, 2.5, 3.0, 4.7):
             assert abs(k7k3_f(0.5, q)) < 1e-12

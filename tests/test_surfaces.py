@@ -8,6 +8,7 @@ from lqrig.surfaces import (
     PROJECTIVE_PLANE,
     SPHERE,
     SurfaceTriangulation,
+    _split_at,
     base_complex,
     from_faces,
     generate_triangulation,
@@ -117,6 +118,17 @@ class TestBaseComplexes:
         assert tuple(k7) == base_complex("K7_minus_K3").faces
 
 
+def small_complexes() -> list[SurfaceTriangulation]:
+    """The three base complexes and a grown one of 10-12 vertices per base."""
+    complexes = [base_complex(base) for base in ("K4", "K6", "K7_minus_K3")]
+    complexes += [
+        generate_triangulation(SPHERE, 10, seed=1)[0],
+        generate_triangulation(PROJECTIVE_PLANE, 11, seed=2, base="K6")[0],
+        generate_triangulation(PROJECTIVE_PLANE, 12, seed=3, base="K7_minus_K3")[0],
+    ]
+    return complexes
+
+
 class TestSplit:
     def test_tetrahedron_split_is_double_pyramid(self):
         t = base_complex("K4")
@@ -162,16 +174,18 @@ class TestSplit:
 
     def test_all_candidate_splits_validate(self):
         # the split does not re-check its output; this is the reference
-        complexes = [base_complex(base) for base in ("K4", "K6", "K7_minus_K3")]
-        complexes += [
-            generate_triangulation(SPHERE, 10, seed=1)[0],
-            generate_triangulation(PROJECTIVE_PLANE, 11, seed=2, base="K6")[0],
-            generate_triangulation(PROJECTIVE_PLANE, 12, seed=3, base="K7_minus_K3")[0],
-        ]
-        for t in complexes:
+        for t in small_complexes():
             for v, a, b in split_candidates(t):
                 out, _ = topological_vertex_split(t, v, a, b)
                 assert validate(out), (t.faces, v, a, b)
+
+    def test_split_at_is_the_candidate_order(self):
+        # the generator draws an index into `split_candidates` without listing it
+        for t in small_complexes():
+            cands = split_candidates(t)
+            degrees = [t.graph.degree(v) for v in range(t.n)]
+            assert sum(k * (k - 1) for k in degrees) == len(cands)
+            assert [_split_at(t, k) for k in range(len(cands))] == cands
 
 
 class TestValidateNegatives:
