@@ -7,6 +7,7 @@ Named vertices, if any, live in the I/O layer.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Iterable, Optional
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj")
+    __slots__ = ("n", "_edges", "_adj", "_games")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -40,6 +41,8 @@ class Graph:
         # reader of `edges` share.
         self._edges = tuple(sorted(normalized))
         self._adj = tuple(frozenset(s) for s in adj)
+        # Loaded pebble games by count, None if rejected; see `_loaded`.
+        self._games: dict = {}
 
     # -- queries ---------------------------------------------------------
 
@@ -137,7 +140,7 @@ class Graph:
         for u in gone.keys() | new.keys():
             adj[u] = adj[u] - gone[u] | new[u]
         out = Graph.__new__(Graph)
-        out.n, out._edges, out._adj = n, tuple(edges), tuple(adj)
+        out.n, out._edges, out._adj, out._games = n, tuple(edges), tuple(adj), {}
         return out
 
     def without_edges_at(self, v: int) -> "Graph":
@@ -166,6 +169,9 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self._edges))
+
+    def __reduce__(self):
+        return Graph, (self.n, self._edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -306,12 +312,31 @@ class _PebbleGame:
                     return False
         return True
 
+    def copy(self) -> "_PebbleGame":
+        """An independent game in the same state (O(n + m))."""
+        other = copy.copy(self)
+        other.pebbles, other.out = self.pebbles[:], [o[:] for o in self.out]
+        return other
+
+
+def _loaded(g: Graph, k: int, l: int, multiplier: int) -> Optional[_PebbleGame]:
+    """The (k, l) game with every edge of g inserted `multiplier` times, None
+    if some insertion fails.  Loaded once per graph and count and kept on g;
+    callers must not move its pebbles, so answers never depend on query order.
+    Concurrent first calls may each load a game; they store equal states."""
+    key = (k, l, multiplier)
+    if key not in g._games:
+        game = _PebbleGame(g.n, k, l)
+        g._games[key] = game if game.load(g, multiplier) else None
+    return g._games[key]
+
 
 def is_sparse(g: Graph, params: SparsityParams) -> bool:
     """True iff every nonempty-edge subgraph H satisfies
-    edge_multiplier*|E(H)| <= k*|V(H)| - l, decided by the pebble game."""
-    game = _PebbleGame(g.n, params.k, params.l)
-    return game.load(g, params.edge_multiplier)
+    edge_multiplier*|E(H)| <= k*|V(H)| - l, decided by the pebble game.
+    The game is loaded once per graph and count and reused by later
+    `is_sparse`, `is_tight` and `edge_addable` calls on the same graph."""
+    return _loaded(g, params.k, params.l, params.edge_multiplier) is not None
 
 
 def is_tight(g: Graph, d: int) -> bool:
@@ -323,14 +348,16 @@ def edge_addable(g: Graph, d: int, x: int, y: int) -> bool:
     """True iff xy is not an edge and g + xy is (d,d)-sparse.
 
     Equivalently: no critical set (i(U) = d|U| - d, |U| > 1) contains both
-    x and y.  Decided by gathering d+1 pebbles on {x, y} after inserting
-    all edges of g; the critical set is never materialized.
+    x and y.  Decided by gathering d+1 pebbles on {x, y} in a copy of the
+    (d,d) game with all edges of g inserted; that game is loaded once per
+    graph and count and shared with `is_sparse`, and the critical set is
+    never materialized.  Endpoints outside 0..n-1 raise ValueError.
     """
     if x == y:
         raise ValueError("endpoints must be distinct")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"edge ({x},{y}) out of range for n={g.n}")
     if g.has_edge(x, y):
         return False
-    game = _PebbleGame(g.n, d, d)
-    if not game.load(g, 1):
-        return False
-    return game.collect(x, y, d + 1)
+    game = _loaded(g, d, d, 1)
+    return game is not None and game.copy().collect(x, y, d + 1)

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import LqSpace, Placement, RigidityMatrix, rigidity_matrix
+from .geometry import IllPositionedError, LqSpace, Placement, RigidityMatrix, rigidity_matrix
 from .graphs import Graph
 
 DEFAULT_REL_TOL = 1e-10
@@ -124,10 +124,18 @@ def sample_placement(
     g: Graph, space: LqSpace, rng: np.random.Generator
 ) -> Placement:
     """Uniform [-1, 1]^d coordinates, resampled while some edge is coincident."""
+    return _sample(g, space, rng)[0]
+
+
+def _sample(g: Graph, space: LqSpace, rng: np.random.Generator) -> tuple[Placement, RigidityMatrix]:
+    """`sample_placement` and its altered rigidity matrix.  Building the
+    matrix is the one coincidence check of each draw."""
     for _ in range(_RESAMPLE_BUDGET):
         p = Placement(space.d, rng.uniform(-1.0, 1.0, size=(g.n, space.d)))
-        if p.well_positioned(g):
-            return p
+        try:
+            return p, rigidity_matrix(g, p, space)
+        except IllPositionedError:
+            continue
     raise RuntimeError("failed to sample a well-positioned placement")
 
 
@@ -155,8 +163,9 @@ def max_rank_sample(
     ranks: list[int] = []
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
-        p = sample_placement(g, space, rng)
-        res = numerical_rank(rigidity_matrix(g, p, space), rel_tol)
+        p, matrix = _sample(g, space, rng)
+        res = numerical_rank(matrix, rel_tol)
+        del matrix  # freed before the next draw builds one, for peak memory
         if not ranks or res.rank > max(ranks):
             top, witness = res, p
         ranks.append(res.rank)

@@ -61,3 +61,22 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
         if mapped == edges_b:
             return True
     return False
+
+
+def all_graphs(n: int) -> list[Graph]:
+    """One graph per isomorphism class on n <= BRUTE_CAP vertices, each grown
+    from a class on n - 1 vertices by a new vertex with every neighbour set."""
+    assert 0 <= n <= BRUTE_CAP
+    if n == 0:
+        return [Graph(0)]
+    classes: dict[tuple, list[Graph]] = {}
+    for base in all_graphs(n - 1):
+        for r in range(n):
+            for nbrs in combinations(range(n - 1), r):
+                g = base.with_vertex(nbrs)
+                # Each vertex's degree and its neighbours' degrees: an invariant.
+                key = tuple(sorted((g.degree(v), *sorted(g.degree(w) for w in g.neighbors(v))) for v in range(n)))
+                same = classes.setdefault(key, [])
+                if not any(is_isomorphic(g, h) for h in same):
+                    same.append(g)
+    return [g for same in classes.values() for g in same]

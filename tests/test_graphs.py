@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +20,7 @@ from lqrig.graphs import (
     wheel_graph,
 )
 
-from bruteforce import brute_addable, brute_critical_sets, brute_sparse, random_graph
+from bruteforce import all_graphs, brute_addable, brute_critical_sets, brute_sparse, random_graph
 
 PARAM_GRID = [
     SparsityParams(1, 1),
@@ -168,6 +173,14 @@ class TestEdgeAddable:
         with pytest.raises(ValueError):
             edge_addable(complete_graph(3), 2, 1, 1)
 
+    @pytest.mark.parametrize("x, y", [(0, -1), (-1, 0), (0, 4), (7, 0), (0, 7), (-2, 9)])
+    def test_rejects_out_of_range(self, x, y):
+        # -1 must not alias vertex 3, and the check comes before any game loads
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="out of range"):
+            edge_addable(g, 2, x, y)
+        assert g._games == {}
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -176,6 +189,110 @@ class TestEdgeAddable:
             g = random_graph(n, int(rng.integers(0, 2 * n)), rng)
             x, y = rng.choice(n, size=2, replace=False)
             assert edge_addable(g, d, int(x), int(y)) == brute_addable(g, d, int(x), int(y))
+
+
+@pytest.fixture(scope="module")
+def small_classes():
+    """(n, edges) of one graph per isomorphism class on up to 6 vertices."""
+    return [(g.n, g.edges) for n in range(7) for g in all_graphs(n)]
+
+
+def non_edges(g):
+    return [(x, y) for x in range(g.n) for y in range(x + 1, g.n) if not g.has_edge(x, y)]
+
+
+def game_state(g):
+    """Pebbles and orientation of every game loaded on g."""
+    return {key: game and (game.pebbles[:], [o[:] for o in game.out]) for key, game in g._games.items()}
+
+
+class TestPebbleCache:
+    """Each graph loads its pebble game once per count; answers must not
+    depend on what was asked before, on the same graph or its parent."""
+
+    def test_classes_cover_small_graphs(self, small_classes):
+        assert len(small_classes) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_edge_addable_in_two_orders(self, small_classes, d):
+        for n, edges in small_classes:
+            g = Graph(n, edges)
+            pairs = non_edges(g)
+            want = [brute_addable(g, d, x, y) for x, y in pairs]
+            assert [edge_addable(Graph(n, edges), d, x, y) for x, y in pairs] == want, edges
+            assert [edge_addable(g, d, x, y) for x, y in pairs] == want, edges
+            state = game_state(g)
+            back = [edge_addable(g, d, y, x) for x, y in reversed(pairs)]
+            assert back[::-1] == want, edges
+            # the loaded game is never moved by a query
+            assert game_state(g) == state, edges
+
+    def test_counts_on_one_object(self, small_classes):
+        # Counts that differ only in the multiplier share k and l, and
+        # `is_tight` loads the game `edge_addable` then reads.
+        grid = [
+            SparsityParams(2, 2, edge_multiplier=2),
+            SparsityParams(2, 2),
+            SparsityParams(5, 7, edge_multiplier=2),
+            SparsityParams(5, 7),
+            SparsityParams(1, 1),
+            SparsityParams(2, 3),
+        ]
+        for n, edges in small_classes:
+            g = Graph(n, edges)
+            for params in grid + grid[::-1]:
+                assert is_sparse(g, params) == brute_sparse(g, params), (edges, params)
+            assert is_tight(g, 2) == (f_count(g, 2) == 2 and brute_sparse(g, SparsityParams(2, 2)))
+            for x, y in non_edges(g):
+                assert edge_addable(g, 2, x, y) == brute_addable(g, 2, x, y), (edges, x, y)
+
+    def test_derived_graphs_load_their_own_game(self):
+        forest = SparsityParams(1, 1)
+        parent = Graph(4, [(0, 1), (1, 2)])
+        assert is_sparse(parent, forest) and edge_addable(parent, 1, 0, 3)
+        path = parent.with_edge(2, 3)
+        assert not edge_addable(path, 1, 0, 3)
+        assert not is_sparse(path.with_edge(0, 3), forest)
+        assert not is_sparse(parent.with_edge(0, 2), forest)
+        assert not is_sparse(parent.with_vertex([0, 2]), forest)
+        assert is_sparse(parent, forest) and edge_addable(parent, 1, 0, 3)
+
+    def test_identity_unaffected(self):
+        fresh = wheel_graph(6)
+        queried = wheel_graph(6)
+        assert is_tight(queried, 2) and not edge_addable(queried, 2, 1, 3)
+        assert queried == fresh and hash(queried) == hash(fresh)
+        for other in (copy.copy(queried), pickle.loads(pickle.dumps(queried))):
+            assert other == fresh and hash(other) == hash(fresh)
+            assert is_tight(other, 2) and not edge_addable(other, 2, 1, 3)
+        # the loaded game is not pickled
+        assert pickle.dumps(queried) == pickle.dumps(fresh)
+
+    def test_concurrent_readers(self):
+        # More threads than cores, switching often, all collecting on one
+        # graph's game: each must see the answers of a fresh graph.
+        g = random_graph(24, 42, np.random.default_rng(3))
+        pairs = non_edges(g)
+        want = [edge_addable(Graph(g.n, g.edges), 2, x, y) for x, y in pairs]
+        assert any(want) and not all(want)
+        got: list = []
+        interval = sys.getswitchinterval()
+
+        def reader():
+            for _ in range(5):
+                got.append([edge_addable(g, 2, x, y) for x, y in pairs])
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 20
 
 
 @settings(max_examples=200, deadline=None)

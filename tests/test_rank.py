@@ -9,6 +9,8 @@ from lqrig.oracles import (
     wheel_placement,
 )
 from lqrig.rank import (
+    _RESAMPLE_BUDGET,
+    _sample,
     cokernel_basis,
     max_rank_sample,
     numerical_rank,
@@ -150,6 +152,36 @@ class TestMaxRankSample:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             max_rank_sample(wheel_graph(5), LqSpace(2, 3.0), trials=0)
+
+
+class OriginFirst:
+    """Generator stand-in whose first `bad` draws put every vertex at the origin."""
+
+    def __init__(self, bad: int):
+        self.bad, self.calls = bad, 0
+
+    def uniform(self, low, high, size):
+        self.calls += 1
+        if self.calls <= self.bad:
+            return np.zeros(size)
+        return np.random.default_rng(self.calls).uniform(low, high, size)
+
+
+class TestSamplePlacement:
+    def test_redraws_until_well_positioned(self):
+        g, space = wheel_graph(5), LqSpace(2, 3.0)
+        for bad in (0, 1, _RESAMPLE_BUDGET - 1):
+            rng = OriginFirst(bad)
+            p, m = _sample(g, space, rng)
+            assert rng.calls == bad + 1 and p.well_positioned(g)
+            assert np.array_equal(m.entries, rigidity_matrix(g, p, space).entries)
+            assert np.array_equal(sample_placement(g, space, OriginFirst(bad)).coords, p.coords)
+
+    def test_budget(self):
+        rng = OriginFirst(_RESAMPLE_BUDGET)
+        with pytest.raises(RuntimeError, match="well-positioned"):
+            sample_placement(wheel_graph(5), LqSpace(2, 3.0), rng)
+        assert rng.calls == _RESAMPLE_BUDGET == 64
 
 
 class TestVerdict:
