@@ -257,21 +257,55 @@ def run_scan(config: ScanConfig) -> dict:
     }
 
 
-# -- other subcommands ----------------------------------------------------------
+# -- subcommands -----------------------------------------------------------------
+# Each runner reads the flags of its own subparser and returns the document.
 
 
-def _run_sparsity(args: argparse.Namespace) -> dict:
+def _cmd_analyze(args: argparse.Namespace) -> dict:
+    reports = [
+        run_analyze(
+            args.graph,
+            args.d,
+            q,
+            trials=args.trials,
+            seed=args.seed,
+            placement_file=args.placement,
+            rel_tol=args.tol,
+        )
+        for q in args.q
+    ]
+    return reports[0] if len(reports) == 1 else {"reports": reports}
+
+
+def _cmd_scan(args: argparse.Namespace) -> dict:
+    config = ScanConfig(
+        d=args.d,
+        q_list=args.q,
+        max_n=args.max_n,
+        count=args.count,
+        seed=args.seed,
+        trials=args.trials,
+        sources=tuple(s for s in args.sources.split(",") if s),
+        rel_tol=args.tol,
+        allow_near_euclidean=args.allow_near_euclidean,
+    )
+    return run_scan(config)
+
+
+def _cmd_sparsity(args: argparse.Namespace) -> dict:
     if args.d is not None and args.d < 1:
         raise InputError("d must be >= 1")
     g = _load_graph(args.graph)
     if args.k is not None:
+        l = 0 if args.l is None else args.l
+        multiplier = 1 if args.multiplier is None else args.multiplier
         try:
-            params = SparsityParams(args.k, args.l, args.multiplier)
+            params = SparsityParams(args.k, l, multiplier)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     else:
-        if args.d is None:
-            raise InputError("need either -d or --k/--l")
+        if args.d is None or args.l is not None or args.multiplier is not None:
+            raise InputError("need either -d or --k; --l and --multiplier need --k")
         params = SparsityParams(args.d, args.d)
     sparse = is_sparse(g, params)
     count = params.k * g.n - params.edge_multiplier * g.m
@@ -288,7 +322,7 @@ def _run_sparsity(args: argparse.Namespace) -> dict:
     return out
 
 
-def _run_op(args: argparse.Namespace) -> dict:
+def _cmd_op(args: argparse.Namespace) -> dict:
     op = OPERATIONS.get(args.kind)
     if op is None:
         raise InputError(f"unknown operation {args.kind!r}")
@@ -316,7 +350,7 @@ def _run_op(args: argparse.Namespace) -> dict:
     return {"graph": out.to_json_dict(), "record": rec.to_json_dict(), "reduction_found": True}
 
 
-def _run_gen(args: argparse.Namespace) -> dict:
+def _cmd_gen(args: argparse.Namespace) -> dict:
     if args.base and not args.surface:
         raise InputError("--base needs --surface")
     if args.surface:
@@ -361,18 +395,16 @@ ORACLES: dict[str, Oracle] = {
 _FLAGS = {"d": "-d", "gamma": "--gamma"}
 
 
-def _run_oracle(args: argparse.Namespace) -> dict:
+def _cmd_oracle(args: argparse.Namespace) -> dict:
     name = args.name
     if name not in ORACLES:
         raise InputError(f"unknown oracle {name!r}")
-    if not args.q:
-        raise InputError(f"{name} needs -q")
-    if not 1.0 < args.q[0] < np.inf:
+    if not 1.0 < args.q < np.inf:
         raise InputError("q must lie in (1, inf)")
     oracle = ORACLES[name]
-    given = {"d": args.d, "q": args.q[0], "gamma": args.gamma}
+    given = {"d": args.d, "q": args.q, "gamma": args.gamma}
     if oracle.selects_gamma and args.gamma is None:
-        given["gamma"] = oracles.select_gamma(args.q[0])
+        given["gamma"] = oracles.select_gamma(args.q)
     missing = [_FLAGS[p] for p in oracle.params if given[p] is None]
     if missing:
         raise InputError(f"{name} needs " + " and ".join(missing))
@@ -395,106 +427,74 @@ def _q_list(text: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, holding its runner as `run` and only the
+    flags that runner reads."""
     ap = argparse.ArgumentParser(
         prog="lqrig",
         description="independence and rigidity of graphs in d-dimensional l_q spaces",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, graph: bool = True) -> None:
-        if graph:
-            p.add_argument("--graph", required=True, help="graph JSON file")
-        p.add_argument("-d", type=int, default=None, help="dimension")
-        p.add_argument("-q", type=_q_list, default=None, help="exponent(s), comma separated")
+    def command(name: str, run: Callable, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        return p
+
+    def sampling(p: argparse.ArgumentParser) -> None:
+        """The flags of the sampled verdicts that analyze and scan take."""
+        p.add_argument("-d", type=int, required=True, help="dimension")
+        p.add_argument("-q", type=_q_list, required=True, help="exponents, comma separated")
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
 
-    p = sub.add_parser("analyze", help="rank/independence/rigidity verdict")
-    common(p)
+    p = command("analyze", _cmd_analyze, "rank/independence/rigidity verdict")
+    p.add_argument("--graph", required=True, help="graph JSON file")
+    sampling(p)
     p.add_argument("--placement", default=None, help="explicit placement JSON file")
 
-    p = sub.add_parser("sparsity", help="(k,l)-sparsity and tightness check")
-    common(p)
+    p = command("sparsity", _cmd_sparsity, "(k,l)-sparsity and tightness check")
+    p.add_argument("--graph", required=True, help="graph JSON file")
+    p.add_argument("-d", type=int, default=None, help="dimension")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--multiplier", type=int, default=1)
+    p.add_argument("--l", type=int, default=None, help="default 0; needs --k")
+    p.add_argument("--multiplier", type=int, default=None, help="default 1; needs --k")
 
-    p = sub.add_parser("op", help="apply one graph operation")
-    common(p)
+    p = command("op", _cmd_op, "apply one graph operation")
+    p.add_argument("--graph", required=True, help="graph JSON file")
+    p.add_argument("-d", type=int, default=None, help="dimension")
     p.add_argument("--kind", required=True, help="|".join(OPERATIONS))
     p.add_argument("--params", default=None, help="operation parameters as JSON")
     p.add_argument("--h-graph", default=None, help="graph JSON for subst")
 
-    p = sub.add_parser("gen", help="random tight graph or surface triangulation")
-    common(p, graph=False)
+    p = command("gen", _cmd_gen, "random tight graph or surface triangulation")
+    p.add_argument("-d", type=int, default=None, help="dimension")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--surface", choices=("sphere", "projective"), default=None)
     p.add_argument("--base", choices=surfaces.BASE_NAMES, default=None)
 
-    p = sub.add_parser("scan", help="conjecture scan over generated graphs")
-    common(p, graph=False)
+    p = command("scan", _cmd_scan, "conjecture scan over generated graphs")
+    sampling(p)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--sources", default="henneberg", help="comma list of sources")
     p.add_argument("--allow-near-euclidean", action="store_true")
 
-    p = sub.add_parser("oracle", help="evaluate a closed-form oracle")
-    common(p, graph=False)
+    p = command("oracle", _cmd_oracle, "evaluate a closed-form oracle")
     p.add_argument("--name", required=True, help="|".join(ORACLES))
+    p.add_argument("-d", type=int, default=None, help="dimension")
+    p.add_argument("-q", type=float, required=True, help="exponent")
     p.add_argument("--gamma", type=float, default=None)
 
     return ap
 
 
-def _dispatch(args: argparse.Namespace) -> dict:
-    if args.command == "analyze":
-        if args.d is None or not args.q:
-            raise InputError("analyze needs -d and -q")
-        reports = [
-            run_analyze(
-                args.graph,
-                args.d,
-                q,
-                trials=args.trials,
-                seed=args.seed,
-                placement_file=args.placement,
-                rel_tol=args.tol,
-            )
-            for q in args.q
-        ]
-        return reports[0] if len(reports) == 1 else {"reports": reports}
-    if args.command == "sparsity":
-        return _run_sparsity(args)
-    if args.command == "op":
-        return _run_op(args)
-    if args.command == "gen":
-        return _run_gen(args)
-    if args.command == "scan":
-        if args.d is None or not args.q:
-            raise InputError("scan needs -d and -q")
-        config = ScanConfig(
-            d=args.d,
-            q_list=args.q,
-            max_n=args.max_n,
-            count=args.count,
-            seed=args.seed,
-            trials=args.trials,
-            sources=tuple(s for s in args.sources.split(",") if s),
-            rel_tol=args.tol,
-            allow_near_euclidean=args.allow_near_euclidean,
-        )
-        return run_scan(config)
-    if args.command == "oracle":
-        return _run_oracle(args)
-    raise InputError(f"unknown command {args.command!r}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        document = _dispatch(args)
+        document = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

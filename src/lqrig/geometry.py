@@ -10,7 +10,6 @@ form is better conditioned and is the default everywhere.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -138,28 +137,10 @@ def support_row(x: np.ndarray, q: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RigidityMatrix:
-    """|E| x d|V| rigidity matrix together with its provenance."""
+    """|E| x d|V| rigidity matrix with its rows in edge order."""
 
     entries: np.ndarray = field(repr=False)
-    form: str
-    d: int
-    q: float
     edge_order: tuple[tuple[int, int], ...]
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        for row in self.entries:
-            buf.write(",".join(repr(float(x)) for x in row))
-            buf.write("\n")
-        return buf.getvalue()
 
 
 def rigidity_matrix(
@@ -185,4 +166,4 @@ def rigidity_matrix(
     m = np.zeros((g.m, g.n, d))
     r = np.arange(g.m)
     m[r, v], m[r, w] = rows, -rows
-    return RigidityMatrix(m.reshape(g.m, d * g.n), form, d, q, g.edges)
+    return RigidityMatrix(m.reshape(g.m, d * g.n), g.edges)

@@ -8,7 +8,6 @@ layout they used.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -183,6 +182,7 @@ def one_reduction_search(g: Graph, v: int, d: int) -> Optional[tuple[int, int]]:
     1-reduction at v adding xy yields a (d,d)-sparse graph; None if no pair
     qualifies.  For d >= 3 with all neighbour degrees <= d+2, None implies
     the closed neighbourhood of v is K_{d+2}."""
+    _check_vertices(g, [v], "reduction")
     if g.degree(v) != d + 1:
         raise ValueError(f"vertex {v} has degree {g.degree(v)}, need {d + 1}")
     masked = g.without_edges_at(v)
@@ -260,19 +260,6 @@ def apply_record(g: Graph, rec: OpRecord) -> Graph:
     if rec.kind not in OPERATIONS:
         raise ValueError(f"unknown operation kind {rec.kind!r}")
     return OPERATIONS[rec.kind].apply(g, rec.params)[0]
-
-
-def records_to_jsonl(records: Sequence[OpRecord]) -> str:
-    """One JSON object per line; the on-disk log format."""
-    return "".join(json.dumps(rec.to_json_dict()) + "\n" for rec in records)
-
-
-def records_from_jsonl(text: str) -> list[OpRecord]:
-    return [
-        OpRecord.from_json_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
 
 
 def henneberg_generate(d: int, n: int, seed: int) -> tuple[Graph, list[OpRecord]]:

@@ -33,7 +33,6 @@ class RankResult:
     """Rank of one matrix: the singular values above `tolerance_used`."""
 
     rank: int
-    singular_values: tuple[float, ...]
     tolerance_used: float
 
 
@@ -117,7 +116,7 @@ def numerical_rank(
         raise ValueError("matrix has non-finite entries")
     sv = np.linalg.svd(a, compute_uv=False)
     rank, cutoff = _cutoff_rank(sv, a.shape, rel_tol)
-    return RankResult(rank, tuple(float(s) for s in sv), cutoff)
+    return RankResult(rank, cutoff)
 
 
 def sample_placement(

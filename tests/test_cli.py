@@ -7,7 +7,7 @@ from lqrig import cli
 from lqrig.cli import InputError, ScanConfig, main, run_analyze, run_scan
 from lqrig.geometry import LqSpace, Placement, rigidity_matrix
 from lqrig.graphs import Graph, complete_graph, wheel_graph
-from lqrig.operations import OpRecord, apply_record, one_extension
+from lqrig.operations import OpRecord, apply_record, henneberg_generate, one_extension
 from lqrig.oracles import wheel_degenerate_placement
 from lqrig.rank import Verdict, numerical_rank
 from lqrig.surfaces import base_complex
@@ -24,6 +24,14 @@ BAD_SAMPLING = [
     ("--trials", "0"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "1"), ("--tol", "inf"),
     ("--seed", "-1"),
 ]
+# Each subcommand takes only the flags that it reads; these belong to others.
+FOREIGN_FLAGS = {
+    "gen --tol": ["gen", "-d", "2", "--n", "5", "--tol", "5"],
+    "op --trials": ["op", "--graph", "{wheel}", "--kind", "cone", "--trials", "3"],
+    "sparsity -q": ["sparsity", "--graph", "{wheel}", "-d", "2", "-q", "3"],
+    "oracle --seed": ["oracle", "--name", "wheel_det", "-q", "3", "--seed", "1"],
+    "oracle -q list": ["oracle", "--name", "wheel_det", "-q", "3,4"],
+}
 
 
 @pytest.fixture
@@ -165,6 +173,13 @@ class TestSparsity:
     def test_bad_dimension_exit_2(self, wheel_file, flags, capsys):
         assert main(["sparsity", "--graph", wheel_file, *flags]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--l", "3"], ["--multiplier", "2"], ["--l", "3", "--multiplier", "2"]]
+    )
+    def test_count_flags_need_k(self, wheel_file, flags, capsys):
+        assert main(["sparsity", "--graph", wheel_file, "-d", "2", *flags]) == 2
+        assert "--k" in capsys.readouterr().err
+
 
 class TestOp:
     def test_cone(self, wheel_file, capsys):
@@ -222,6 +237,14 @@ class TestOp:
         assert code == 0
         assert doc["reduction_found"] is True
         assert doc["graph"]["n"] == 4
+
+    @pytest.mark.parametrize("v", [-1, 12])
+    def test_reduce1_vertex_out_of_range_exit_2(self, tmp_path, v, capsys):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(henneberg_generate(3, 12, 0)[0].to_json_dict()))
+        argv = ["op", "--graph", str(gfile), "--kind", "reduce1", "-d", "3"]
+        assert main([*argv, "--params", json.dumps({"v": v})]) == 2
+        assert "out of range" in capsys.readouterr().err
 
     def test_bad_params_exit_2(self, wheel_file, capsys):
         assert (
@@ -302,6 +325,15 @@ class TestOracleCommand:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", FOREIGN_FLAGS.values(), ids=FOREIGN_FLAGS)
+def test_foreign_flag_exit_2(argv, wheel_file, capsys):
+    # argparse rejects the flag by raising SystemExit rather than returning.
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(wheel=wheel_file) for arg in argv])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 class TestScan:

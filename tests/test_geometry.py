@@ -196,11 +196,12 @@ class TestRigidityMatrix:
             r_alt = numerical_rank(rigidity_matrix(g, p, space, form="altered")).rank
             assert r_std == r_alt
 
-    def test_csv_export(self):
+    def test_one_dimensional_row(self):
         g = Graph(2, [(0, 1)])
         p = Placement(1, [[1.0], [0.0]])
         m = rigidity_matrix(g, p, LqSpace(1, 1.5))
-        assert m.to_csv().strip() == "1.0,-1.0"
+        assert m.entries.tolist() == [[1.0, -1.0]]
+        assert m.edge_order == ((0, 1),)
 
 
 class TestSpacesAndPlacements:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from lqrig.graphs import (
 )
 from lqrig.operations import (
     OPERATIONS,
+    OpRecord,
     apply_record,
     brace,
     cone,
@@ -23,8 +26,6 @@ from lqrig.operations import (
     one_reduction_search,
     random_count_sparse,
     random_degree_bounded_sparse,
-    records_from_jsonl,
-    records_to_jsonl,
     substitute,
     vertex_split,
     zero_extension,
@@ -235,6 +236,15 @@ class TestOneReduction:
         with pytest.raises(ValueError, match="degree"):
             one_reduction_search(wheel_graph(5), 0, d=2)  # center has degree 4
 
+    @pytest.mark.parametrize("v", [-1, -12, 12, 13])
+    def test_vertex_out_of_range(self, v):
+        g, _ = henneberg_generate(3, 12, 0)
+        # -1 would otherwise read vertex 11, which has the reduction (0, 3).
+        assert one_reduction_search(g, 11, 3) == (0, 3)
+        for fn in (one_reduction_search, one_reduce):
+            with pytest.raises(ValueError, match="out of range"):
+                fn(g, v, 3)
+
     def test_soundness_on_random_tight_graphs(self):
         rng = np.random.default_rng(4)
         found = 0
@@ -377,12 +387,16 @@ class TestRandomGenerators:
                 assert brute_sparse(g, params, cap=8)
 
 
+def json_round_trip(records: list) -> list:
+    """Records through the JSON list that the CLI writes as a log."""
+    text = json.dumps([rec.to_json_dict() for rec in records])
+    return [OpRecord.from_json_dict(obj) for obj in json.loads(text)]
+
+
 class TestRecords:
-    def test_jsonl_round_trip(self):
+    def test_log_json_round_trip(self):
         _, log = henneberg_generate(3, 9, seed=2)
-        text = records_to_jsonl(log)
-        assert len(text.splitlines()) == len(log)
-        assert records_from_jsonl(text) == log
+        assert log and json_round_trip(log) == log
 
     def test_every_record_replays(self):
         g = wheel_graph(5)
@@ -406,7 +420,7 @@ class TestRecords:
             src = base_complex(base)
             t, log = generate_triangulation(surface, src.n + 1, seed=0, base=base)
             cases.append((src.graph, t.graph, log[0]))
-        records = records_from_jsonl(records_to_jsonl([rec for _, _, rec in cases]))
+        records = json_round_trip([rec for _, _, rec in cases])
         assert len(records) == len(cases)
         for (src, out, rec), back in zip(cases, records):
             assert apply_record(src, back) == out, rec.kind
