@@ -328,6 +328,10 @@ def _cmd_op(args: argparse.Namespace) -> dict:
         raise InputError(f"unknown operation {args.kind!r}")
     if op.needs_d and args.d is None:
         raise InputError("op needs -d")
+    if args.d is not None and not op.needs_d:
+        raise InputError(f"{args.kind} takes no -d")
+    if args.h_graph is not None and args.kind != "subst":
+        raise InputError("--h-graph is for subst only")
     g = _load_graph(args.graph)
     try:
         params = json.loads(args.params) if args.params else {}
@@ -354,6 +358,8 @@ def _cmd_gen(args: argparse.Namespace) -> dict:
     if args.base and not args.surface:
         raise InputError("--base needs --surface")
     if args.surface:
+        if args.d not in (None, 3):
+            raise InputError("surface triangulations are frameworks in d = 3 only")
         try:
             tri, log = surfaces.generate_triangulation(
                 SOURCES[args.surface].surface, args.n, args.seed, base=args.base
@@ -403,6 +409,9 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
         raise InputError("q must lie in (1, inf)")
     oracle = ORACLES[name]
     given = {"d": args.d, "q": args.q, "gamma": args.gamma}
+    unread = [flag for p, flag in _FLAGS.items() if given[p] is not None and p not in oracle.params]
+    if unread:
+        raise InputError(f"{name} takes no " + " or ".join(unread))
     if oracle.selects_gamma and args.gamma is None:
         given["gamma"] = oracles.select_gamma(args.q)
     missing = [_FLAGS[p] for p in oracle.params if given[p] is None]

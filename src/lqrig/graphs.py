@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj", "_games")
+    __slots__ = ("n", "_edges", "_adj", "_games", "_count_ranks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -43,6 +43,9 @@ class Graph:
         self._adj = tuple(frozenset(s) for s in adj)
         # Loaded pebble games by count, None if rejected; see `_loaded`.
         self._games: dict = {}
+        # Greedy (d,d) counts of a graph that is not (d,d)-sparse, by d;
+        # made on first use, as few graphs need one.  See `count_rank`.
+        self._count_ranks: Optional[dict] = None
 
     # -- queries ---------------------------------------------------------
 
@@ -140,7 +143,8 @@ class Graph:
         for u in gone.keys() | new.keys():
             adj[u] = adj[u] - gone[u] | new[u]
         out = Graph.__new__(Graph)
-        out.n, out._edges, out._adj, out._games = n, tuple(edges), tuple(adj), {}
+        out.n, out._edges, out._adj = n, tuple(edges), tuple(adj)
+        out._games, out._count_ranks = {}, None
         return out
 
     def without_edges_at(self, v: int) -> "Graph":
@@ -329,6 +333,22 @@ def _loaded(g: Graph, k: int, l: int, multiplier: int) -> Optional[_PebbleGame]:
         game = _PebbleGame(g.n, k, l)
         g._games[key] = game if game.load(g, multiplier) else None
     return g._games[key]
+
+
+def count_rank(g: Graph, d: int) -> int:
+    """Rank of the (d,d)-count matroid on g's edges: the number of edges a
+    greedy (d,d)-pebble game accepts.  |E| when g is (d,d)-sparse, read from
+    the loaded game; otherwise the greedy game runs once per graph and d and
+    its count is kept on g.  The loaded game is never moved.  Concurrent
+    first calls may each run the greedy game; they store equal counts."""
+    if _loaded(g, d, d, 1) is not None:
+        return g.m
+    if g._count_ranks is None:
+        g._count_ranks = {}
+    if d not in g._count_ranks:
+        game = _PebbleGame(g.n, d, d)
+        g._count_ranks[d] = sum(game.insert(u, v) for u, v in g.edges)
+    return g._count_ranks[d]
 
 
 def is_sparse(g: Graph, params: SparsityParams) -> bool:

@@ -9,8 +9,13 @@ Generic (maximal) rank is estimated by sampling random well-positioned
 placements: regular placements form an open dense set, so any absolutely
 continuous sampling distribution finds one almost surely.  A rank value is
 reported "stable" when at least two sampled placements agree on it.
-Sampling stops once two placements reach the ceiling min(|E|, target
-rank): no further placement can raise the rank, and it is already stable.
+
+Every row of the altered matrix is a difference of two vertex blocks, so
+the d translations lie in the kernel of every subgraph's rows: at any
+placement, an independent edge set is (d,d)-sparse, and the rank is at
+most the (d,d) count rank (`graphs.count_rank`).  Sampling stops once two
+placements reach the ceiling min(|E|, target rank, count rank): no further
+placement can raise the rank, and it is already stable.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .geometry import IllPositionedError, LqSpace, Placement, RigidityMatrix, rigidity_matrix
-from .graphs import Graph
+from .graphs import Graph, count_rank
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_TRIALS = 8
@@ -151,8 +156,10 @@ def max_rank_sample(
     Trial i draws from its own generator seeded by (seed, i), so results are
     identical regardless of evaluation order and extending the trial count
     only appends new samples.  Sampling stops at the second trial that
-    reaches min(|E|, target rank): `trial_ranks` is then a prefix of the
-    full run's, and the verdict, cutoff and witness are the full run's.
+    reaches min(|E|, target rank, count rank): no trial exceeds that
+    ceiling, so `trial_ranks` is then a prefix of the full run's, and the
+    verdict, cutoff and witness are the full run's.  The count rank is
+    computed only once a trial falls short of min(|E|, target rank).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -168,6 +175,8 @@ def max_rank_sample(
         if not ranks or res.rank > max(ranks):
             top, witness = res, p
         ranks.append(res.rank)
+        if res.rank < ceiling:
+            ceiling = min(ceiling, count_rank(g, space.d))
         if sum(r >= ceiling for r in ranks) == 2:
             break
     return Verdict(

@@ -232,19 +232,6 @@ def topological_vertex_split(
     return out, replace(rec, params={**rec.params, "a": a, "b": b})
 
 
-def split_candidates(t: SurfaceTriangulation) -> list[tuple[int, int, int]]:
-    """All (v, a, b) triples with a, b distinct on the link of v, in the
-    order whose index `generate_triangulation` draws."""
-    out = []
-    for v in range(t.n):
-        cycle = link_cycle(t, v)
-        for a in cycle:
-            for b in cycle:
-                if a != b:
-                    out.append((v, a, b))
-    return out
-
-
 def generate_triangulation(
     surface: str,
     n: int,
@@ -253,9 +240,10 @@ def generate_triangulation(
 ) -> tuple[SurfaceTriangulation, list[OpRecord]]:
     """Grow a random triangulation to n vertices by uniformly random
     topological vertex splits; deterministic per seed.  Each step draws an
-    index into the candidates in `split_candidates` order, found without
-    listing them (`_split_at`); each split's graph comes from the d = 3
-    `operations.vertex_split`."""
+    index into the candidate splits (v, a, b), a and b distinct on the link
+    of v, ordered by v, then a, then b in link-cycle order; `_split_at`
+    finds the drawn one without listing them.  Each split's graph comes
+    from the d = 3 `operations.vertex_split`."""
     if base is None:
         base = "K4" if surface == SPHERE else "K6"
     t = base_complex(base)
@@ -273,8 +261,9 @@ def generate_triangulation(
 
 
 def _split_at(t: SurfaceTriangulation, k: int) -> tuple[int, int, int]:
-    """`split_candidates(t)[k]` from the degrees and one link cycle: vertex
-    v lists deg(v) (deg(v) - 1) candidates, as its link holds deg(v) vertices."""
+    """The k-th candidate split in the order of `generate_triangulation`,
+    from the degrees and one link cycle: vertex v has deg(v) (deg(v) - 1)
+    candidates, as its link holds deg(v) vertices."""
     for v in range(t.n):
         deg = t.graph.degree(v)
         if k < deg * (deg - 1):

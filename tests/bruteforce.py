@@ -23,6 +23,16 @@ def brute_sparse(g: Graph, params: SparsityParams, cap: int = BRUTE_CAP) -> bool
     return True
 
 
+def brute_count_rank(g: Graph, d: int, cap: int = BRUTE_CAP) -> int:
+    """Size of the largest (d,d)-sparse edge subset, by exhaustive search."""
+    params = SparsityParams(d, d)
+    for size in range(g.m, 0, -1):
+        subsets = combinations(g.edges, size)
+        if any(brute_sparse(Graph(g.n, sub), params, cap=cap) for sub in subsets):
+            return size
+    return 0
+
+
 def brute_critical_sets(g: Graph, d: int, cap: int = BRUTE_CAP) -> list[tuple[int, ...]]:
     """All U with |U| > 1 and i(U) = d|U| - d."""
     assert g.n <= cap

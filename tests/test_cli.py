@@ -246,6 +246,19 @@ class TestOp:
         assert main([*argv, "--params", json.dumps({"v": v})]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_unread_flag_exit_2(self, wheel_file, capsys):
+        # cone takes no dimension, and only subst reads a second graph
+        argvs = [
+            ["--kind", "cone", "-d", "2"],
+            ["--kind", "subst", "-d", "2", "--h-graph", wheel_file],
+            ["--kind", "ext0", "-d", "2", "--params", '{"s": [1, 2]}', "--h-graph", wheel_file],
+            ["--kind", "cone", "--h-graph", wheel_file],
+        ]
+        for argv in argvs:
+            assert main(["op", "--graph", wheel_file, *argv]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error:" in captured.err
+
     def test_bad_params_exit_2(self, wheel_file, capsys):
         assert (
             main(["op", "--graph", wheel_file, "--kind", "brace", "-d", "2", "--params", "{}"])
@@ -295,6 +308,15 @@ class TestGen:
         ]
         assert docs[0][0] == 0 and docs[0] == docs[1]
 
+    def test_surface_needs_d3(self, capsys):
+        for d in ("2", "4"):
+            assert main(["gen", "--surface", "sphere", "-d", d, "--n", "6"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "d = 3" in captured.err
+        # -d 3 is the dimension the triangulation is a framework in
+        argv = ["gen", "--surface", "sphere", "--n", "6"]
+        assert run_cli([*argv, "-d", "3"], capsys) == run_cli(argv, capsys)
+
     def test_base_without_surface_exit_2(self, capsys):
         assert main(["gen", "--base", "K6", "-d", "3", "--n", "8"]) == 2
         assert "--surface" in capsys.readouterr().err
@@ -311,6 +333,22 @@ class TestOracleCommand:
 
     def test_unknown_exit_2(self, capsys):
         assert main(["oracle", "--name", "nope", "-q", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wheel_det", "-d", "7", "--gamma", "0.3"],
+            ["wheel_det", "-d", "7"],
+            ["gamma_select", "--gamma", "0.3"],
+            ["circulant_det", "-d", "3", "--gamma", "0.3"],
+            ["k7k3_f", "-d", "3", "--gamma", "0.3"],
+            ["k4_gamma_det", "-d", "2"],
+        ],
+    )
+    def test_unread_flag_exit_2(self, argv, capsys):
+        assert main(["oracle", "--name", *argv, "-q", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "takes no" in captured.err
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-0.5", "1.5", "1e300"])
     def test_k7k3_f_gamma_outside_range_exit_2(self, gamma, capsys):

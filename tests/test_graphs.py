@@ -12,6 +12,7 @@ from lqrig.graphs import (
     Graph,
     SparsityParams,
     complete_graph,
+    count_rank,
     edge_addable,
     f_count,
     is_sparse,
@@ -20,7 +21,14 @@ from lqrig.graphs import (
     wheel_graph,
 )
 
-from bruteforce import all_graphs, brute_addable, brute_critical_sets, brute_sparse, random_graph
+from bruteforce import (
+    all_graphs,
+    brute_addable,
+    brute_count_rank,
+    brute_critical_sets,
+    brute_sparse,
+    random_graph,
+)
 
 PARAM_GRID = [
     SparsityParams(1, 1),
@@ -293,6 +301,45 @@ class TestPebbleCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 20
+
+
+def greedy_count(g, d):
+    """Edges kept in order while the kept set stays (d,d)-sparse, by brute force."""
+    kept: list = []
+    for e in g.edges:
+        if brute_sparse(Graph(g.n, kept + [e]), SparsityParams(d, d)):
+            kept.append(e)
+    return len(kept)
+
+
+class TestCountRank:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_largest_sparse_subset(self, small_classes, d):
+        for n, edges in small_classes:
+            if n <= 5:
+                g = Graph(n, edges)
+                assert count_rank(g, d) == brute_count_rank(g, d), edges
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_greedy_on_brute_force(self, small_classes, d):
+        for n, edges in small_classes:
+            g = Graph(n, edges)
+            assert count_rank(g, d) == greedy_count(g, d), edges
+
+    def test_sparse_graph_reads_its_game(self, small_classes):
+        for n, edges in small_classes:
+            g = Graph(n, edges)
+            if is_sparse(g, SparsityParams(2, 2)):
+                state = game_state(g)
+                assert count_rank(g, 2) == g.m
+                assert game_state(g) == state and g._count_ranks is None, edges
+
+    def test_kept_once_per_graph_and_d(self):
+        g = complete_graph(5)
+        assert [count_rank(g, d) for d in (1, 2, 3, 2)] == [4, 8, 10, 8]
+        assert g._games == {(1, 1, 1): None, (2, 2, 1): None, (3, 3, 1): g._games[(3, 3, 1)]}
+        assert g._count_ranks == {1: 4, 2: 8}
+        assert g.with_vertex([0])._count_ranks is None
 
 
 @settings(max_examples=200, deadline=None)

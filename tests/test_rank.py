@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lqrig.geometry import LqSpace, Placement, rigidity_matrix
-from lqrig.graphs import Graph, complete_graph, path_graph, wheel_graph
+from lqrig.graphs import Graph, complete_graph, count_rank, path_graph, wheel_graph
 from lqrig.oracles import (
     wheel_corner_submatrix,
     wheel_degenerate_placement,
@@ -18,6 +18,8 @@ from lqrig.rank import (
     verdict,
 )
 
+from bruteforce import all_graphs, brute_count_rank
+
 
 def octahedron() -> Graph:
     missing = {(0, 1), (2, 3), (4, 5)}
@@ -25,15 +27,20 @@ def octahedron() -> Graph:
 
 
 def k5_plus_isolated() -> Graph:
-    """Rank 8 in l_q^2 against a ceiling min(10, 2*6 - 2) = 10."""
+    """Rank 8 in l_q^2, below min(10, 2*6 - 2) = 10 and at its count rank 8."""
     return Graph(6, complete_graph(5).edges)
+
+
+def k4_plus_isolated() -> Graph:
+    """Rank 5 in the Euclidean plane, below its count rank 6 = |E|."""
+    return Graph(5, complete_graph(4).edges)
 
 
 def reference_trials(g, space, trials, seed):
     """(rank, placement, cutoff) of every trial of the one-placement-at-a-time
     loop, and the number of trials up to the second that reaches
-    min(|E|, target rank)."""
-    ceiling = min(g.m, space.target_rank(g.n))
+    min(|E|, target rank, count rank), the count rank found by brute force."""
+    ceiling = min(g.m, space.target_rank(g.n), brute_count_rank(g, space.d))
     out, cut = [], trials
     for i in range(trials):
         p = sample_placement(g, space, np.random.default_rng([seed, i]))
@@ -126,8 +133,25 @@ class TestMaxRankSample:
 
     def test_never_at_ceiling_runs_every_trial(self):
         for trials in (1, 3, 8):
-            res = max_rank_sample(k5_plus_isolated(), LqSpace(2, 1.5), trials=trials, seed=6)
-            assert res.rank == 8 and len(res.trial_ranks) == trials
+            res = max_rank_sample(k4_plus_isolated(), LqSpace(2, 2.0), trials=trials, seed=6)
+            assert res.rank == 5 and len(res.trial_ranks) == trials
+
+    def test_stops_at_count_rank(self):
+        # Below min(|E|, target rank) = 10, but at the count rank 8.
+        res = max_rank_sample(k5_plus_isolated(), LqSpace(2, 1.5), trials=8, seed=6)
+        assert res.trial_ranks == (8, 8) and res.rank == 8 and res.stable
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_no_trial_exceeds_count_rank(self, q):
+        # The early exit at the count rank is sound only if no sampled
+        # placement's rank exceeds it.
+        for n in range(2, 6):
+            for g in all_graphs(n):
+                for d in (1, 2, 3):
+                    space = LqSpace(d, q)
+                    for i in range(2):
+                        _, m = _sample(g, space, np.random.default_rng([n, d, i]))
+                        assert numerical_rank(m).rank <= count_rank(g, d), (g.edges, d)
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 8])
     def test_matches_reference_loop(self, trials):

@@ -14,11 +14,23 @@ from lqrig.surfaces import (
     generate_triangulation,
     link_cycle,
     replay_splits,
-    split_candidates,
     topological_vertex_split,
     validate,
 )
 
+
+
+def split_candidates(t: SurfaceTriangulation) -> list[tuple[int, int, int]]:
+    """All (v, a, b) with a, b distinct on the link of v, in the order whose
+    index `generate_triangulation` draws: the reference for `_split_at`."""
+    out = []
+    for v in range(t.n):
+        cycle = link_cycle(t, v)
+        for a in cycle:
+            for b in cycle:
+                if a != b:
+                    out.append((v, a, b))
+    return out
 
 
 def exhaustive_face_search(n, edges, n_faces):
@@ -180,7 +192,7 @@ class TestSplit:
                 assert validate(out), (t.faces, v, a, b)
 
     def test_split_at_is_the_candidate_order(self):
-        # the generator draws an index into `split_candidates` without listing it
+        # the generator draws an index into this order without listing it
         for t in small_complexes():
             cands = split_candidates(t)
             degrees = [t.graph.degree(v) for v in range(t.n)]
