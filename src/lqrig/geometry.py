@@ -106,8 +106,13 @@ class Placement:
 
 def _edge_differences(g: Graph, coords: np.ndarray) -> tuple:
     """Endpoint arrays v < w of g's edges in lexicographic order, the rows
-    p_v - p_w, and the first edge whose endpoints coincide (None if none)."""
-    v, w = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
+    p_v - p_w, and the first edge whose endpoints coincide (None if none).
+    The endpoint arrays are made once per graph and kept on it, read-only."""
+    if g._ends is None:
+        ends = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
+        ends.setflags(write=False)
+        g._ends = ends
+    v, w = g._ends
     diff = coords[v] - coords[w]
     hit = np.flatnonzero(~diff.any(axis=1))
     return v, w, diff, (g.edges[hit[0]] if hit.size else None)

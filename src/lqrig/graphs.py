@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj", "_games", "_count_ranks")
+    __slots__ = ("n", "_edges", "_adj", "_games", "_count_ranks", "_ends")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -46,6 +46,8 @@ class Graph:
         # Greedy (d,d) counts of a graph that is not (d,d)-sparse, by d;
         # made on first use, as few graphs need one.  See `count_rank`.
         self._count_ranks: Optional[dict] = None
+        # Edge endpoint arrays, made on first use by `geometry`.
+        self._ends = None
 
     # -- queries ---------------------------------------------------------
 
@@ -144,7 +146,7 @@ class Graph:
             adj[u] = adj[u] - gone[u] | new[u]
         out = Graph.__new__(Graph)
         out.n, out._edges, out._adj = n, tuple(edges), tuple(adj)
-        out._games, out._count_ranks = {}, None
+        out._games, out._count_ranks, out._ends = {}, None, None
         return out
 
     def without_edges_at(self, v: int) -> "Graph":
@@ -364,6 +366,23 @@ def is_tight(g: Graph, d: int) -> bool:
     return f_count(g, d) == d and is_sparse(g, SparsityParams(d, d))
 
 
+def _grown_game(g: Graph, d: int, x: int, y: int) -> Optional[_PebbleGame]:
+    """A copy of g's loaded (d,d) game with xy inserted, None when xy is an
+    edge or g + xy is not (d,d)-sparse.  Endpoints outside 0..n-1 raise
+    ValueError."""
+    if x == y:
+        raise ValueError("endpoints must be distinct")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"edge ({x},{y}) out of range for n={g.n}")
+    if g.has_edge(x, y):
+        return None
+    game = _loaded(g, d, d, 1)
+    if game is None:
+        return None
+    game = game.copy()
+    return game if game.insert(x, y) else None
+
+
 def edge_addable(g: Graph, d: int, x: int, y: int) -> bool:
     """True iff xy is not an edge and g + xy is (d,d)-sparse.
 
@@ -373,11 +392,16 @@ def edge_addable(g: Graph, d: int, x: int, y: int) -> bool:
     graph and count and shared with `is_sparse`, and the critical set is
     never materialized.  Endpoints outside 0..n-1 raise ValueError.
     """
-    if x == y:
-        raise ValueError("endpoints must be distinct")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"edge ({x},{y}) out of range for n={g.n}")
-    if g.has_edge(x, y):
-        return False
-    game = _loaded(g, d, d, 1)
-    return game is not None and game.copy().collect(x, y, d + 1)
+    return _grown_game(g, d, x, y) is not None
+
+
+def with_addable_edge(g: Graph, d: int, x: int, y: int) -> Optional[Graph]:
+    """g + xy when `edge_addable(g, d, x, y)`, else None.  The new graph is
+    given the game that answered, with xy inserted: it is g + xy's loaded
+    (d,d) game, so the new graph never loads one."""
+    game = _grown_game(g, d, x, y)
+    if game is None:
+        return None
+    out = g.with_edge(x, y)
+    out._games[(d, d, 1)] = game
+    return out

@@ -14,7 +14,14 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, SparsityParams, complete_graph, edge_addable, is_sparse
+from .graphs import (
+    Graph,
+    SparsityParams,
+    complete_graph,
+    edge_addable,
+    is_sparse,
+    with_addable_edge,
+)
 
 
 @dataclass(frozen=True)
@@ -324,10 +331,8 @@ def random_degree_bounded_sparse(d: int, n: int, seed: int) -> Graph:
             if not open_pairs:
                 break
             x, y = open_pairs[int(rng.integers(len(open_pairs)))]
-            if not edge_addable(g, d, x, y):
-                continue
-            extended = g.with_edge(x, y)
-            if extended.min_degree() <= d + 1:
+            extended = with_addable_edge(g, d, x, y)
+            if extended is not None and extended.min_degree() <= d + 1:
                 g = extended
         ok = (
             g.is_connected()

@@ -10,6 +10,13 @@ placements: regular placements form an open dense set, so any absolutely
 continuous sampling distribution finds one almost surely.  A rank value is
 reported "stable" when at least two sampled placements agree on it.
 
+Every rank is taken after exact power-of-two equilibration: the rows and
+then the columns are scaled by powers of two so that the largest |entry|
+of each lies in [0.5, 1).  Such scaling rounds nothing (unless an entry
+leaves the range of doubles) and leaves the rank unchanged, but it keeps
+the cutoff from dropping rows whose signed (q-1)-th powers are many orders
+of magnitude below the largest, as they are at high q (van der Sluis 1969).
+
 Every row of the altered matrix is a difference of two vertex blocks, so
 the d translations lie in the kernel of every subgraph's rows: at any
 placement, an independent edge set is (d,d)-sparse, and the rank is at
@@ -20,6 +27,7 @@ placement can raise the rank, and it is already stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -47,9 +55,9 @@ class Verdict:
 
     `rank` is the largest of `trial_ranks`, one per sampled placement;
     `witness` is the first placement that reached it and `tolerance_used`
-    the singular-value cutoff there.  independent <=> rank = |E|; rigid <=>
-    rank = d|V| - dim(isometries), which is d|V| - d for q != 2 and
-    d|V| - d(d+1)/2 at q = 2.
+    the singular-value cutoff of its equilibrated matrix.  independent <=>
+    rank = |E|; rigid <=> rank = d|V| - dim(isometries), which is d|V| - d
+    for q != 2 and d|V| - d(d+1)/2 at q = 2.
     """
 
     rank: int
@@ -101,27 +109,40 @@ def _as_array(m: Union[RigidityMatrix, np.ndarray]) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def _cutoff_rank(sv: np.ndarray, shape: tuple, rel_tol: float) -> tuple[int, float]:
-    """Rank and cutoff under the rule of `numerical_rank`, for `cokernel_basis` too."""
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    cutoff = rel_tol * float(sv.max(initial=0.0)) * max(shape)
-    return int(np.count_nonzero(sv > cutoff)), cutoff
+def _equilibrate(a: np.ndarray) -> None:
+    """Scale the rows of `a`, then its columns, by powers of two in place,
+    so that the largest |entry| of each nonzero row and column lies in
+    [0.5, 1).  Raises ValueError on a non-finite entry."""
+    top = np.abs(a).max(axis=1, initial=0.0)
+    if not math.isfinite(top.max(initial=0.0)):
+        raise ValueError("matrix has non-finite entries")
+    np.ldexp(a, -np.frexp(top)[1][:, None], out=a)
+    np.ldexp(a, -np.frexp(np.abs(a).max(axis=0, initial=0.0))[1], out=a)
 
 
 def numerical_rank(
-    m: Union[RigidityMatrix, np.ndarray], rel_tol: float = DEFAULT_REL_TOL
+    m: Union[RigidityMatrix, np.ndarray],
+    rel_tol: float = DEFAULT_REL_TOL,
+    *,
+    overwrite: bool = False,
 ) -> RankResult:
-    """Rank = number of singular values above rel_tol * sigma_max * max(rows, cols);
-    rel_tol must be positive."""
+    """Rank = number of singular values of the equilibrated matrix above
+    rel_tol * sigma_max * max(rows, cols); rel_tol must be positive.
+    `tolerance_used` is that cutoff.  The matrix is equilibrated by exact
+    power-of-two row, then column, scaling (see the module docstring); with
+    `overwrite` that is done in place in `m`'s own array, so no second copy
+    exists during the SVD."""
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
     a = _as_array(m)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    if not overwrite:
+        a = a.copy()
+    _equilibrate(a)
     sv = np.linalg.svd(a, compute_uv=False)
-    rank, cutoff = _cutoff_rank(sv, a.shape, rel_tol)
-    return RankResult(rank, cutoff)
+    cutoff = rel_tol * float(sv.max(initial=0.0)) * max(a.shape)
+    return RankResult(int(np.count_nonzero(sv > cutoff)), cutoff)
 
 
 def sample_placement(
@@ -160,6 +181,7 @@ def max_rank_sample(
     ceiling, so `trial_ranks` is then a prefix of the full run's, and the
     verdict, cutoff and witness are the full run's.  The count rank is
     computed only once a trial falls short of min(|E|, target rank).
+    Each trial's matrix is equilibrated in place and then dropped.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -170,7 +192,7 @@ def max_rank_sample(
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
         p, matrix = _sample(g, space, rng)
-        res = numerical_rank(matrix, rel_tol)
+        res = numerical_rank(matrix, rel_tol, overwrite=True)
         del matrix  # freed before the next draw builds one, for peak memory
         if not ranks or res.rank > max(ranks):
             top, witness = res, p
@@ -192,10 +214,8 @@ def cokernel_basis(
     m: Union[RigidityMatrix, np.ndarray], rel_tol: float = DEFAULT_REL_TOL
 ) -> np.ndarray:
     """Orthonormal basis of the left null space (self-stresses), one per
-    row, with the rank taken under the tolerance rule of `numerical_rank`."""
-    a = _as_array(m)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    u, sv, _ = np.linalg.svd(a, full_matrices=True)
-    rank, _ = _cutoff_rank(sv, a.shape, rel_tol)
+    row: the last left singular vectors of the matrix as given, as many as
+    |rows| minus its `numerical_rank`."""
+    rank = numerical_rank(m, rel_tol).rank
+    u = np.linalg.svd(_as_array(m), full_matrices=True)[0]
     return np.ascontiguousarray(u[:, rank:].T)

@@ -19,6 +19,7 @@ from lqrig.graphs import (
     is_tight,
     path_graph,
     wheel_graph,
+    with_addable_edge,
 )
 
 from bruteforce import (
@@ -264,6 +265,25 @@ class TestPebbleCache:
         assert not is_sparse(parent.with_edge(0, 2), forest)
         assert not is_sparse(parent.with_vertex([0, 2]), forest)
         assert is_sparse(parent, forest) and edge_addable(parent, 1, 0, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grown_graph_takes_the_answering_game(self, small_classes, d):
+        for n, edges in small_classes:
+            g = Graph(n, edges)
+            is_sparse(g, SparsityParams(d, d))
+            state = game_state(g)
+            for x, y in non_edges(g):
+                child = with_addable_edge(g, d, x, y)
+                assert (child is not None) == edge_addable(g, d, x, y), (edges, x, y)
+                if child is None:
+                    continue
+                assert child == g.with_edge(x, y) and list(child._games) == [(d, d, 1)]
+                # the handed game answers as the child's own loaded game would
+                fresh = Graph(child.n, child.edges)
+                pairs = non_edges(child)
+                got = [edge_addable(child, d, a, b) for a, b in pairs]
+                assert got == [edge_addable(fresh, d, a, b) for a, b in pairs], (edges, x, y)
+            assert game_state(g) == state, edges
 
     def test_identity_unaffected(self):
         fresh = wheel_graph(6)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqrig.geometry import LqSpace, Placement, rigidity_matrix
 from lqrig.graphs import Graph, complete_graph, count_rank, path_graph, wheel_graph
+from lqrig.operations import henneberg_generate
 from lqrig.oracles import (
     wheel_corner_submatrix,
     wheel_degenerate_placement,
@@ -70,16 +73,56 @@ class TestNumericalRank:
     def test_rank_counts_singular_values(self):
         a = np.diag([1.0, 1e-3, 0.0])
         res = numerical_rank(a)
-        sv = np.linalg.svd(a, compute_uv=False)
+        # the rows are scaled by 2^-1 and 2^9 before the SVD
+        sv = np.linalg.svd(np.diag([0.5, 1e-3 * 2.0**9, 0.0]), compute_uv=False)
         assert res.rank == np.count_nonzero(sv > res.tolerance_used) == 2
+        assert res.tolerance_used == 1e-10 * sv.max() * 3
+
+    def test_rank_of_equilibrated_matrix(self):
+        # The rows are 2^-60 apart in size: the second is below the unscaled
+        # cutoff, but after row scaling both singular values are 0.5.
+        a = np.diag([1.0, 2.0**-60, 0.0])
+        res = numerical_rank(a)
+        assert res.rank == 2 and res.tolerance_used == 1e-10 * 0.5 * 3
+        assert np.array_equal(a, np.diag([1.0, 2.0**-60, 0.0]))
+
+    def test_overwrite_equilibrates_in_place(self):
+        a = np.array([[4.0, -1.0], [2.0, 0.0], [0.0, 0.0]])
+        assert numerical_rank(a.copy()) == numerical_rank(a, overwrite=True)
+        # rows by 2^-3 and 2^-2, then the second column by 2^2
+        assert np.array_equal(a, [[0.5, -0.5], [0.5, 0.0], [0.0, 0.0]])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.array([[1.0, np.inf]]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                numerical_rank(np.array([[1.0, bad]]))
+            with pytest.raises(ValueError, match="non-finite"):
+                numerical_rank(np.array([[0.0, 1.0], [bad, 0.0]]).T, overwrite=True)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             numerical_rank(np.eye(2), rel_tol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_power_of_two_row_scaling_is_invisible(data):
+    # Equilibration makes each row's largest |entry| a mantissa in
+    # [0.5, 1), which scaling the row by 2^k does not change; so the
+    # equilibrated matrix, its rank and cutoff are the same bits.  Columns
+    # may all be scaled by one common power of two (a placement scaled by
+    # 2^k at integer q, for one).  Distinct column factors move the row
+    # maxima, and a row-then-column pass then picks other scales.
+    n = data.draw(st.integers(2, 7), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    q = data.draw(st.sampled_from([1.5, 3.0, 6.0, 10.0]), label="q")
+    g = Graph(n, data.draw(st.sets(st.sampled_from(complete_graph(n).edges), min_size=1)))
+    _, m = _sample(g, LqSpace(d, q), np.random.default_rng(data.draw(st.integers(0, 99))))
+    exps = st.integers(-60, 60)
+    rows = np.array(data.draw(st.lists(exps, min_size=g.m, max_size=g.m), label="rows"))
+    common = data.draw(exps, label="columns")
+    scaled = np.ldexp(m.entries, rows[:, None] + common)
+    assert numerical_rank(scaled) == numerical_rank(m)
 
 
 class TestMaxRankSample:
@@ -141,7 +184,7 @@ class TestMaxRankSample:
         res = max_rank_sample(k5_plus_isolated(), LqSpace(2, 1.5), trials=8, seed=6)
         assert res.trial_ranks == (8, 8) and res.rank == 8 and res.stable
 
-    @pytest.mark.parametrize("q", [1.5, 3.0])
+    @pytest.mark.parametrize("q", [1.5, 3.0, 6.0, 10.0])
     def test_no_trial_exceeds_count_rank(self, q):
         # The early exit at the count rank is sound only if no sampled
         # placement's rank exceeds it.
@@ -175,6 +218,14 @@ class TestMaxRankSample:
                 assert res.tolerance_used == ref[top][2]
                 assert np.array_equal(res.witness.coords, ref[top][1].coords)
 
+    def test_high_q_tight_graph_independent(self):
+        # A (3,3)-tight graph, so independent for q != 2.  Without
+        # equilibration the cutoff dropped rows of small (q-1)-th powers:
+        # trial ranks (24, 26, 22, 24, 25, 26, 26, 26), a stable rank 26.
+        g = henneberg_generate(3, 10, 1016164991)[0]
+        res = verdict(g, LqSpace(3, 10.0), seed=1667914287)
+        assert res.trial_ranks == (27, 27) and res.independent and res.stable
+
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             max_rank_sample(wheel_graph(5), LqSpace(2, 3.0), trials=0)
@@ -202,6 +253,16 @@ class TestSamplePlacement:
             assert rng.calls == bad + 1 and p.well_positioned(g)
             assert np.array_equal(m.entries, rigidity_matrix(g, p, space).entries)
             assert np.array_equal(sample_placement(g, space, OriginFirst(bad)).coords, p.coords)
+
+    def test_endpoint_arrays_kept_per_graph(self):
+        g, space = wheel_graph(5), LqSpace(2, 3.0)
+        first = _sample(g, space, np.random.default_rng(0))[1]
+        ends = g._ends
+        assert np.array_equal(ends.T, g.edges) and not ends.flags.writeable
+        second = _sample(g, space, np.random.default_rng(0))[1]
+        assert g._ends is ends and np.array_equal(first.entries, second.entries)
+        # a derived graph has other edges, so it makes its own
+        assert g.with_edge(2, 4)._ends is None
 
     def test_budget(self):
         rng = OriginFirst(_RESAMPLE_BUDGET)
@@ -272,6 +333,17 @@ class TestCokernel:
         assert cokernel_basis(np.zeros((0, 4))).shape == (0, 0)
         assert np.array_equal(cokernel_basis(np.zeros((3, 0))), np.eye(3))
         assert np.array_equal(cokernel_basis(np.zeros((3, 4))), np.eye(3))
+
+    @pytest.mark.parametrize("q", [1.5, 3.0, 6.0, 10.0])
+    def test_dimension_is_stress_dim(self, q):
+        # The cokernel takes its rank from `numerical_rank`, so it has one
+        # row per self-stress the verdict counts.
+        wheel_k5 = Graph(10, list(wheel_graph(5).edges) + [(u + 5, v + 5) for u, v in complete_graph(5).edges])
+        for g, d in ((complete_graph(5), 2), (k5_plus_isolated(), 2), (wheel_k5, 2), (complete_graph(7), 3)):
+            space = LqSpace(d, q)
+            v = verdict(g, space, seed=3)
+            basis = cokernel_basis(rigidity_matrix(g, v.witness, space))
+            assert v.stress_dim > 0 and basis.shape == (v.stress_dim, g.m)
 
     def test_degenerate_wheel_has_stress(self):
         for q in (1.5, 3.0):
