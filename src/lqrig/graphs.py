@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj", "_games", "_count_ranks", "_ends")
+    __slots__ = ("n", "_edges", "_adj", "_games", "_count_bases", "_ends")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -43,9 +43,9 @@ class Graph:
         self._adj = tuple(frozenset(s) for s in adj)
         # Loaded pebble games by count, None if rejected; see `_loaded`.
         self._games: dict = {}
-        # Greedy (d,d) counts of a graph that is not (d,d)-sparse, by d;
-        # made on first use, as few graphs need one.  See `count_rank`.
-        self._count_ranks: Optional[dict] = None
+        # Greedy (d,d) bases of a graph that is not (d,d)-sparse, by d;
+        # made on first use, as few graphs need one.  See `count_basis`.
+        self._count_bases: Optional[dict] = None
         # Edge endpoint arrays, made on first use by `geometry`.
         self._ends = None
 
@@ -146,7 +146,7 @@ class Graph:
             adj[u] = adj[u] - gone[u] | new[u]
         out = Graph.__new__(Graph)
         out.n, out._edges, out._adj = n, tuple(edges), tuple(adj)
-        out._games, out._count_ranks, out._ends = {}, None, None
+        out._games, out._count_bases, out._ends = {}, None, None
         return out
 
     def without_edges_at(self, v: int) -> "Graph":
@@ -328,8 +328,7 @@ class _PebbleGame:
 def _loaded(g: Graph, k: int, l: int, multiplier: int) -> Optional[_PebbleGame]:
     """The (k, l) game with every edge of g inserted `multiplier` times, None
     if some insertion fails.  Loaded once per graph and count and kept on g;
-    callers must not move its pebbles, so answers never depend on query order.
-    Concurrent first calls may each load a game; they store equal states."""
+    callers must not move its pebbles, so answers never depend on query order."""
     key = (k, l, multiplier)
     if key not in g._games:
         game = _PebbleGame(g.n, k, l)
@@ -337,20 +336,26 @@ def _loaded(g: Graph, k: int, l: int, multiplier: int) -> Optional[_PebbleGame]:
     return g._games[key]
 
 
-def count_rank(g: Graph, d: int) -> int:
-    """Rank of the (d,d)-count matroid on g's edges: the number of edges a
-    greedy (d,d)-pebble game accepts.  |E| when g is (d,d)-sparse, read from
-    the loaded game; otherwise the greedy game runs once per graph and d and
-    its count is kept on g.  The loaded game is never moved.  Concurrent
-    first calls may each run the greedy game; they store equal counts."""
+def count_basis(g: Graph, d: int) -> tuple[int, ...]:
+    """Indices into `g.edges` of the edges a greedy (d,d)-pebble game
+    accepts, inserting them in order: a basis of the (d,d)-count matroid on
+    g's edges.  Every index when g is (d,d)-sparse, read from the loaded
+    game; otherwise the greedy game runs once per graph and d and its basis
+    is kept on g.  The loaded game is never moved."""
     if _loaded(g, d, d, 1) is not None:
-        return g.m
-    if g._count_ranks is None:
-        g._count_ranks = {}
-    if d not in g._count_ranks:
+        return tuple(range(g.m))
+    if g._count_bases is None:
+        g._count_bases = {}
+    if d not in g._count_bases:
         game = _PebbleGame(g.n, d, d)
-        g._count_ranks[d] = sum(game.insert(u, v) for u, v in g.edges)
-    return g._count_ranks[d]
+        g._count_bases[d] = tuple(i for i, (u, v) in enumerate(g.edges) if game.insert(u, v))
+    return g._count_bases[d]
+
+
+def count_rank(g: Graph, d: int) -> int:
+    """Rank of the (d,d)-count matroid on g's edges: the size of
+    `count_basis`, |E| when g is (d,d)-sparse."""
+    return len(count_basis(g, d))
 
 
 def is_sparse(g: Graph, params: SparsityParams) -> bool:

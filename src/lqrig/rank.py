@@ -7,8 +7,7 @@ from them.
 
 Generic (maximal) rank is estimated by sampling random well-positioned
 placements: regular placements form an open dense set, so any absolutely
-continuous sampling distribution finds one almost surely.  A rank value is
-reported "stable" when at least two sampled placements agree on it.
+continuous sampling distribution finds one almost surely.
 
 Every rank is taken after exact power-of-two equilibration: the rows and
 then the columns are scaled by powers of two so that the largest |entry|
@@ -20,33 +19,61 @@ of magnitude below the largest, as they are at high q (van der Sluis 1969).
 Every row of the altered matrix is a difference of two vertex blocks, so
 the d translations lie in the kernel of every subgraph's rows: at any
 placement, an independent edge set is (d,d)-sparse, and the rank is at
-most the (d,d) count rank (`graphs.count_rank`).  Sampling stops once two
-placements reach the ceiling min(|E|, target rank, count rank): no further
-placement can raise the rank, and it is already stable.
+most the (d,d) count rank (`graphs.count_rank`).  No placement can raise
+the rank above the ceiling min(|E|, target rank, count rank).
+
+A trial that reaches the ceiling is then certified, when it can be: a
+shifted floating-point Cholesky factorisation of the Gram matrix of the
+rows that form a (d,d) count basis proves that the exact matrix at that
+float placement has full rank on those rows (Rump, "Verification of
+positive definiteness", BIT 46, 2006; see `_basis_gram`).  The rank is
+then the generic rank, proved, and sampling stops.  Otherwise it stops
+once two placements reach the ceiling, and the rank is "stable" when two
+trials agree on it, as a float verdict with no certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import IllPositionedError, LqSpace, Placement, RigidityMatrix, rigidity_matrix
-from .graphs import Graph, count_rank
+from .geometry import (
+    IllPositionedError,
+    LqSpace,
+    Placement,
+    RigidityMatrix,
+    _edge_differences,
+    rigidity_matrix,
+)
+from .graphs import Graph, count_basis, count_rank
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_TRIALS = 8
 _RESAMPLE_BUDGET = 64
+# Unit roundoff of doubles.
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
 class RankResult:
-    """Rank of one matrix: the singular values above `tolerance_used`."""
+    """Rank of one matrix: the singular values above `tolerance_used`, with
+    the smallest of them and the largest below (None where there is none)."""
 
     rank: int
     tolerance_used: float
+    smallest_kept: Optional[float]
+    largest_dropped: Optional[float]
+
+    @property
+    def sv_gap(self) -> tuple[Optional[float], Optional[float]]:
+        """`smallest_kept` and `largest_dropped` divided by the cutoff."""
+        return tuple(
+            None if sv is None else sv / self.tolerance_used
+            for sv in (self.smallest_kept, self.largest_dropped)
+        )
 
 
 @dataclass(frozen=True)
@@ -55,7 +82,10 @@ class Verdict:
 
     `rank` is the largest of `trial_ranks`, one per sampled placement;
     `witness` is the first placement that reached it and `tolerance_used`
-    the singular-value cutoff of its equilibrated matrix.  independent <=>
+    the singular-value cutoff of its equilibrated matrix, and `sv_gap` the
+    witness's smallest kept and largest dropped singular values divided by
+    that cutoff.  `certified` says that a trial's rank was proved to be the
+    count-basis size, so `rank` is the generic rank.  independent <=>
     rank = |E|; rigid <=> rank = d|V| - dim(isometries), which is d|V| - d
     for q != 2 and d|V| - d(d+1)/2 at q = 2.
     """
@@ -66,10 +96,13 @@ class Verdict:
     trial_ranks: tuple[int, ...]
     tolerance_used: float
     witness: Placement
+    certified: bool
+    sv_gap: tuple[Optional[float], Optional[float]]
 
     @property
     def stable(self) -> bool:
-        return self.trial_ranks.count(self.rank) >= 2
+        """Certified, or two trials agree on the rank."""
+        return self.certified or self.trial_ranks.count(self.rank) >= 2
 
     @property
     def independent(self) -> bool:
@@ -97,8 +130,10 @@ class Verdict:
             "minimally_rigid": self.minimally_rigid,
             "stress_dim": self.stress_dim,
             "stable": self.stable,
+            "certified": self.certified,
             "trial_ranks": list(self.trial_ranks),
             "tolerance_used": self.tolerance_used,
+            "sv_gap": list(self.sv_gap),
             "witness_placement": self.witness.to_json_dict(),
         }
 
@@ -142,7 +177,14 @@ def numerical_rank(
     _equilibrate(a)
     sv = np.linalg.svd(a, compute_uv=False)
     cutoff = rel_tol * float(sv.max(initial=0.0)) * max(a.shape)
-    return RankResult(int(np.count_nonzero(sv > cutoff)), cutoff)
+    rank = int(np.count_nonzero(sv > cutoff))
+    # svd returns the singular values in descending order.
+    return RankResult(
+        rank,
+        cutoff,
+        float(sv[rank - 1]) if rank else None,
+        float(sv[rank]) if rank < sv.size else None,
+    )
 
 
 def sample_placement(
@@ -164,6 +206,99 @@ def _sample(g: Graph, space: LqSpace, rng: np.random.Generator) -> tuple[Placeme
     raise RuntimeError("failed to sample a well-positioned placement")
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the bound on k rounding errors."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _shift(rows: int, cols: int, d: int, degree: int, q: float, trace: float) -> float:
+    """The diagonal shift s under which a passing Cholesky of fl(B B^T) - sI
+    certifies the rows B of an equilibrated altered matrix (see
+    `_basis_gram`), `trace` an upper bound on tr(fl(B B^T)).  B has `rows`
+    rows of `cols` columns, |entries| < 1, 2d nonzeros a row and at most
+    `degree` a column, so || |B| ||_2^2 <= || |B| ||_1 || |B| ||_inf <=
+    2d degree."""
+    norm = 2.0 * d * degree
+    gamma = _gamma(rows + 1)
+    cholesky = gamma / (1.0 - 2.0 * gamma) * trace
+    gram = _gamma(cols) * norm
+    entry = _gamma(math.ceil(q) + 1)
+    entries = (entry / (1.0 - entry)) ** 2 * norm
+    # Rounding s up covers the few roundings made computing it, and the
+    # underflow terms of the bounds (multiples of 2^-1074 by a polynomial
+    # in the sizes), far below 2^-40 s.
+    return (cholesky + gram + entries) * (1.0 + 2.0**-40)
+
+
+def _normal_entries(g: Graph, p: Placement, q: float) -> bool:
+    """True when g's altered matrix at p has only normal nonzero entries,
+    also once each row is scaled to a largest |entry| in [0.5, 1): then
+    building and equilibrating it rounds as `_basis_gram` assumes.  Checked
+    on the coordinate differences x, as 2^-1000 <= |x|^(q-1) and its ratio
+    to the largest (or to 1, if all are smaller)."""
+    diff = np.abs(_edge_differences(g, p.coords)[2])
+    low = diff.min()
+    if not low:
+        low = diff[diff > 0].min()
+    high = max(math.frexp(diff.max())[1], 0)
+    return (q - 1.0) * (math.frexp(low)[1] - 1 - high) > -1000
+
+
+def _basis_gram(
+    g: Graph, space: LqSpace, p: Placement, a: np.ndarray, res: RankResult
+) -> Optional[tuple[np.ndarray, float]]:
+    """fl(B B^T) and the shift s of `_shift`, for the rows B of the
+    equilibrated matrix `a` of g at p (whose rank is `res`) that form a
+    (d,d) count basis: all rows when the rank is |E|, the edges of
+    `graphs.count_basis` when it is that basis's size.  None when the rank
+    is neither, or when the Cholesky cannot pass: it passes only if the
+    smallest singular value of B, which is at most res.smallest_kept,
+    exceeds sqrt(s), give or take its rounding.
+
+    If the Cholesky of fl(B B^T) - sI passes, with the diagonal rounded
+    down, the exact altered matrix at p has full rank on those rows, so
+    rank >= |B|.  Proof: the passing factorisation gives lambda_min(fl(B B^T))
+    >= s - c1, c1 = gamma_{|B|+1} / (1 - 2 gamma_{|B|+1}) tr (Rump 2006);
+    |fl(B B^T) - B B^T| <= gamma_cols |B||B|^T, so lambda_min(B B^T) >=
+    s - c1 - c2, c2 = gamma_cols || |B| ||_2^2; and the exact rows E (scaled
+    by the same powers of two) differ from B by |B - E| <= e/(1-e) |B|, so
+    sigma_min(E) >= sigma_min(B) - e/(1-e) || |B| ||_2 > 0 as s - c1 - c2 >
+    (e/(1-e))^2 || |B| ||_2^2.  Here e = gamma_{ceil(q)+1}, about (q+1)u,
+    bounds the relative error of each built entry sgn(x)|x|^(q-1): u from
+    the subtraction x = p_v - p_w, raised to the power q - 1, and 2u from a
+    pow within 1 ulp, which is assumed of numpy's `**`.  The scalings
+    round nothing while `_normal_entries` holds, which is required.
+    """
+    k = res.rank
+    if k == 0:
+        return None
+    if k == g.m:
+        rows = None
+    elif k == count_rank(g, space.d):
+        rows = count_basis(g, space.d)
+    else:  # the ceiling is the target rank, below |B| (q = 2 only)
+        return None
+    b = a if rows is None else a[list(rows)]
+    gram = b @ b.T
+    # The computed trace, a sum of k nonnegative terms, is within gamma_k.
+    trace = float(np.trace(gram)) / (1.0 - _gamma(k))
+    s = _shift(k, a.shape[1], space.d, g.max_degree(), space.q, trace)
+    if not res.smallest_kept**2 > s or not _normal_entries(g, p, space.q):
+        return None
+    return gram, s
+
+
+def _positive_definite(gram: np.ndarray, s: float) -> bool:
+    """Whether the Cholesky factorisation of gram - sI passes, the diagonal
+    rounded down; `gram` is overwritten."""
+    np.fill_diagonal(gram, np.nextafter(gram.diagonal() - s, -np.inf))
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def max_rank_sample(
     g: Graph,
     space: LqSpace,
@@ -176,12 +311,14 @@ def max_rank_sample(
 
     Trial i draws from its own generator seeded by (seed, i), so results are
     identical regardless of evaluation order and extending the trial count
-    only appends new samples.  Sampling stops at the second trial that
-    reaches min(|E|, target rank, count rank): no trial exceeds that
-    ceiling, so `trial_ranks` is then a prefix of the full run's, and the
-    verdict, cutoff and witness are the full run's.  The count rank is
-    computed only once a trial falls short of min(|E|, target rank).
-    Each trial's matrix is equilibrated in place and then dropped.
+    only appends new samples.  Sampling stops at the first trial that
+    reaches min(|E|, target rank, count rank) and is certified (see
+    `_basis_gram`), or else at the second trial that reaches it: no trial
+    exceeds that ceiling, so `trial_ranks` is then a prefix of the full
+    run's, and the rank, cutoff and witness are the full run's.  The count
+    rank is computed only once a trial falls short of min(|E|, target rank)
+    or needs a count basis.  Each trial's matrix is equilibrated in place
+    and dropped before the certificate's Cholesky and the next draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -193,16 +330,26 @@ def max_rank_sample(
         rng = np.random.default_rng([seed, i])
         p, matrix = _sample(g, space, rng)
         res = numerical_rank(matrix, rel_tol, overwrite=True)
-        del matrix  # freed before the next draw builds one, for peak memory
         if not ranks or res.rank > max(ranks):
             top, witness = res, p
         ranks.append(res.rank)
         if res.rank < ceiling:
             ceiling = min(ceiling, count_rank(g, space.d))
-        if sum(r >= ceiling for r in ranks) == 2:
+        gram = _basis_gram(g, space, p, matrix.entries, res) if res.rank == ceiling else None
+        del matrix  # freed before the Cholesky and the next draw, for peak memory
+        certified = gram is not None and _positive_definite(*gram)
+        del gram
+        if certified or sum(r >= ceiling for r in ranks) == 2:
             break
     return Verdict(
-        top.rank, g.m, space.target_rank(g.n), tuple(ranks), top.tolerance_used, witness
+        top.rank,
+        g.m,
+        space.target_rank(g.n),
+        tuple(ranks),
+        top.tolerance_used,
+        witness,
+        certified,
+        top.sv_gap,
     )
 
 

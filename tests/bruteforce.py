@@ -3,6 +3,7 @@ and small-graph isomorphism.  Capped at small vertex counts by design."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -31,6 +32,25 @@ def brute_count_rank(g: Graph, d: int, cap: int = BRUTE_CAP) -> int:
         if any(brute_sparse(Graph(g.n, sub), params, cap=cap) for sub in subsets):
             return size
     return 0
+
+
+def exact_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over the rationals, by Gaussian elimination in `Fraction`s."""
+    rows = [r[:] for r in rows if any(r)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in rows[rank + 1 :]:
+            if r[col]:
+                f = r[col] / top[col]
+                for j in range(col, len(r)):
+                    r[j] -= f * top[j]
+        rank += 1
+    return rank
 
 
 def brute_critical_sets(g: Graph, d: int, cap: int = BRUTE_CAP) -> list[tuple[int, ...]]:

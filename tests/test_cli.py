@@ -15,7 +15,8 @@ from lqrig.surfaces import base_complex
 # The keys that the analysis report and every scan candidate share.
 VERDICT_KEYS = {
     "rank", "edge_count", "target_rank", "independent", "rigid", "minimally_rigid",
-    "stress_dim", "stable", "trial_ranks", "tolerance_used", "witness_placement",
+    "stress_dim", "stable", "certified", "trial_ranks", "tolerance_used", "sv_gap",
+    "witness_placement",
 }
 ANALYZE_KEYS = {"graph", "d", "q", "trials", "seed"} | VERDICT_KEYS
 CANDIDATE_KEYS = {"source", "base", "q", "d", "seed", "trials", "graph", "log"} | VERDICT_KEYS
@@ -61,7 +62,8 @@ def flat_verdict(g, space, **kwargs):
     p = Placement(3, np.column_stack([rng.uniform(-1, 1, (g.n, 2)), np.zeros(g.n)]))
     res = numerical_rank(rigidity_matrix(g, p, space))
     return Verdict(
-        res.rank, g.m, space.target_rank(g.n), (res.rank, res.rank), res.tolerance_used, p
+        res.rank, g.m, space.target_rank(g.n), (res.rank, res.rank), res.tolerance_used, p,
+        False, res.sv_gap,
     )
 
 
@@ -131,10 +133,15 @@ class TestAnalyze:
         )
         assert code == 0
         assert set(report) == ANALYZE_KEYS
-        # Sampling stops at the second trial that reaches min(|E|, 2|V| - 2) = 8.
-        assert report["trials"] == 3 and report["trial_ranks"] == [8, 8]
+        # Sampling stops at the first trial that reaches min(|E|, 2|V| - 2) = 8
+        # and is certified.
+        assert report["trials"] == 3 and report["trial_ranks"] == [8]
+        assert report["certified"] is True and report["stable"] is True
         assert max(report["trial_ranks"]) == report["rank"] == witness_rank(report)
         assert report["edge_count"] == 8 and report["tolerance_used"] > 0
+        # Full rank on 8 rows of 10 columns: nothing is dropped.
+        kept, dropped = report["sv_gap"]
+        assert kept > 1 and dropped is None
 
     @pytest.mark.parametrize("flag,value", BAD_SAMPLING)
     def test_bad_sampling_flag_exit_2(self, wheel_file, flag, value, capsys):
@@ -399,6 +406,16 @@ class TestScan:
         assert totals["cells"] == totals["predicted"] + totals["candidates"] + totals["marginal"]
         assert totals["candidates"] == 0  # the d = 2 case is a theorem
         assert totals["cells"] == totals["graphs"] * 2
+
+    def test_one_trial_cells_are_certified(self, capsys):
+        # One trial never agrees with another, so a cell is stable only
+        # when its trial is certified; before certificates every cell here
+        # was marginal.
+        argv = ["scan", "-d", "3", "-q", "1.5,3", "--max-n", "10", "--count", "2"]
+        code, doc = run_cli(argv + ["--seed", "4", "--trials", "1"], capsys)
+        assert code == 0
+        totals = doc["totals"]
+        assert totals["marginal"] == 0 and totals["predicted"] == totals["cells"] == 20
 
     def test_sources_mix(self):
         summary = run_scan(

@@ -12,6 +12,7 @@ from lqrig.graphs import (
     Graph,
     SparsityParams,
     complete_graph,
+    count_basis,
     count_rank,
     edge_addable,
     f_count,
@@ -352,14 +353,27 @@ class TestCountRank:
             if is_sparse(g, SparsityParams(2, 2)):
                 state = game_state(g)
                 assert count_rank(g, 2) == g.m
-                assert game_state(g) == state and g._count_ranks is None, edges
+                assert count_basis(g, 2) == tuple(range(g.m))
+                assert game_state(g) == state and g._count_bases is None, edges
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_basis_is_sparse_and_maximal(self, small_classes, d):
+        for n, edges in small_classes:
+            g = Graph(n, edges)
+            basis = count_basis(g, d)
+            kept = Graph(n, [g.edges[i] for i in basis])
+            assert len(basis) == count_rank(g, d) and is_sparse(kept, SparsityParams(d, d))
+            for i in set(range(g.m)) - set(basis):
+                assert not edge_addable(kept, d, *g.edges[i]), (edges, d)
 
     def test_kept_once_per_graph_and_d(self):
         g = complete_graph(5)
         assert [count_rank(g, d) for d in (1, 2, 3, 2)] == [4, 8, 10, 8]
         assert g._games == {(1, 1, 1): None, (2, 2, 1): None, (3, 3, 1): g._games[(3, 3, 1)]}
-        assert g._count_ranks == {1: 4, 2: 8}
-        assert g.with_vertex([0])._count_ranks is None
+        # the star at 0, then the first eight edges in lexicographic order
+        assert g._count_bases == {1: (0, 1, 2, 3), 2: tuple(range(8))}
+        assert count_basis(g, 2) is g._count_bases[2]
+        assert g.with_vertex([0])._count_bases is None
 
 
 @settings(max_examples=200, deadline=None)

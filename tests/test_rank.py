@@ -1,10 +1,13 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqrig.geometry import LqSpace, Placement, rigidity_matrix
-from lqrig.graphs import Graph, complete_graph, count_rank, path_graph, wheel_graph
+from lqrig.graphs import Graph, complete_graph, count_basis, count_rank, path_graph, wheel_graph
 from lqrig.operations import henneberg_generate
 from lqrig.oracles import (
     wheel_corner_submatrix,
@@ -13,7 +16,11 @@ from lqrig.oracles import (
 )
 from lqrig.rank import (
     _RESAMPLE_BUDGET,
+    _basis_gram,
+    _normal_entries,
+    _positive_definite,
     _sample,
+    _shift,
     cokernel_basis,
     max_rank_sample,
     numerical_rank,
@@ -21,7 +28,7 @@ from lqrig.rank import (
     verdict,
 )
 
-from bruteforce import all_graphs, brute_count_rank
+from bruteforce import all_graphs, brute_count_rank, exact_rank
 
 
 def octahedron() -> Graph:
@@ -39,28 +46,54 @@ def k4_plus_isolated() -> Graph:
     return Graph(5, complete_graph(4).edges)
 
 
+def certifies(g, space, p, ceiling):
+    """Whether the trial at p reaches the ceiling and is certified."""
+    m = rigidity_matrix(g, p, space)
+    res = numerical_rank(m, overwrite=True)
+    gram = _basis_gram(g, space, p, m.entries, res) if res.rank >= ceiling else None
+    return gram is not None and _positive_definite(*gram)
+
+
 def reference_trials(g, space, trials, seed):
     """(rank, placement, cutoff) of every trial of the one-placement-at-a-time
-    loop, and the number of trials up to the second that reaches
-    min(|E|, target rank, count rank), the count rank found by brute force."""
+    loop; the number of trials up to the first that reaches min(|E|, target
+    rank, count rank), the count rank found by brute force, and is
+    certified, or else up to the second that reaches it; and whether a
+    certificate ended the run."""
     ceiling = min(g.m, space.target_rank(g.n), brute_count_rank(g, space.d))
-    out, cut = [], trials
+    out, cut, certified = [], None, False
     for i in range(trials):
         p = sample_placement(g, space, np.random.default_rng([seed, i]))
         res = numerical_rank(rigidity_matrix(g, p, space))
         out.append((res.rank, p, res.tolerance_used))
-        if cut == trials and sum(r >= ceiling for r, _, _ in out) == 2:
-            cut = i + 1
-    return out, cut
+        if cut is None:
+            if certifies(g, space, p, ceiling):
+                cut, certified = i + 1, True
+            elif sum(r >= ceiling for r, _, _ in out) == 2:
+                cut = i + 1
+    return out, cut or trials, certified
+
+
+def exact_row(g, p, d, edge):
+    """The altered row of `edge` at q = 3 in Fractions: sgn(x) x^2 = x |x|
+    of the exact differences x of p's float coordinates."""
+    v, w = edge
+    row = [Fraction(0)] * (d * g.n)
+    for k in range(d):
+        x = Fraction(float(p.coords[v, k])) - Fraction(float(p.coords[w, k]))
+        row[d * v + k], row[d * w + k] = x * abs(x), -x * abs(x)
+    return row
 
 
 class TestNumericalRank:
     def test_identity(self):
-        assert numerical_rank(np.eye(3)).rank == 3
+        res = numerical_rank(np.eye(3))
+        # equilibrated to 0.5 I: nothing below the cutoff
+        assert res.rank == 3 and res.smallest_kept == 0.5 and res.largest_dropped is None
 
     def test_zero(self):
         res = numerical_rank(np.zeros((4, 5)))
-        assert res.rank == 0
+        assert res.rank == 0 and res.smallest_kept is None and res.largest_dropped == 0.0
 
     def test_empty(self):
         assert numerical_rank(np.zeros((0, 5))).rank == 0
@@ -77,6 +110,8 @@ class TestNumericalRank:
         sv = np.linalg.svd(np.diag([0.5, 1e-3 * 2.0**9, 0.0]), compute_uv=False)
         assert res.rank == np.count_nonzero(sv > res.tolerance_used) == 2
         assert res.tolerance_used == 1e-10 * sv.max() * 3
+        assert (res.smallest_kept, res.largest_dropped) == (sv[1], 0.0)
+        assert res.sv_gap == (sv[1] / res.tolerance_used, 0.0)
 
     def test_rank_of_equilibrated_matrix(self):
         # The rows are 2^-60 apart in size: the second is below the unscaled
@@ -180,9 +215,17 @@ class TestMaxRankSample:
             assert res.rank == 5 and len(res.trial_ranks) == trials
 
     def test_stops_at_count_rank(self):
-        # Below min(|E|, target rank) = 10, but at the count rank 8.
+        # Below min(|E|, target rank) = 10, but at the count rank 8, and
+        # certified on the rows of the greedy count basis.
         res = max_rank_sample(k5_plus_isolated(), LqSpace(2, 1.5), trials=8, seed=6)
-        assert res.trial_ranks == (8, 8) and res.rank == 8 and res.stable
+        assert res.trial_ranks == (8,) and res.rank == 8 and res.certified and res.stable
+
+    def test_target_below_count_rank_is_not_certified(self):
+        # K4 in the Euclidean plane: rank 5 = target rank, below its count
+        # rank 6 = |E|, so no count basis has the trial's size and the
+        # two-trial rule decides.
+        res = max_rank_sample(complete_graph(4), LqSpace(2, 2.0), trials=8, seed=1)
+        assert res.trial_ranks == (5, 5) and not res.certified and res.stable
 
     @pytest.mark.parametrize("q", [1.5, 3.0, 6.0, 10.0])
     def test_no_trial_exceeds_count_rank(self, q):
@@ -208,13 +251,15 @@ class TestMaxRankSample:
         ]
         for g, space in cases:
             for seed in (0, 7):
-                ref, cut = reference_trials(g, space, trials, seed)
+                ref, cut, certified = reference_trials(g, space, trials, seed)
                 ranks = [r for r, _, _ in ref]
                 top = ranks.index(max(ranks))
                 res = max_rank_sample(g, space, trials=trials, seed=seed)
-                # The early exit keeps a prefix and the full loop's verdict.
-                assert res.trial_ranks == tuple(ranks[:cut])
-                assert res.rank == ranks[top] and res.stable == (ranks.count(res.rank) >= 2)
+                # The early exit keeps a prefix and the full loop's verdict,
+                # which a certificate makes stable.
+                assert res.trial_ranks == tuple(ranks[:cut]) and res.certified == certified
+                assert res.rank == ranks[top]
+                assert res.stable == (certified or ranks.count(res.rank) >= 2)
                 assert res.tolerance_used == ref[top][2]
                 assert np.array_equal(res.witness.coords, ref[top][1].coords)
 
@@ -222,13 +267,73 @@ class TestMaxRankSample:
         # A (3,3)-tight graph, so independent for q != 2.  Without
         # equilibration the cutoff dropped rows of small (q-1)-th powers:
         # trial ranks (24, 26, 22, 24, 25, 26, 26, 26), a stable rank 26.
+        # The first trial's smallest singular value, about 1.2e-7, is too
+        # close to the rounding for a certificate; the second's is not.
         g = henneberg_generate(3, 10, 1016164991)[0]
         res = verdict(g, LqSpace(3, 10.0), seed=1667914287)
-        assert res.trial_ranks == (27, 27) and res.independent and res.stable
+        assert res.trial_ranks == (27, 27) and res.independent and res.certified
+
+    def test_certified_at_the_one_trial_at_full_rank(self):
+        # A (3,3)-tight graph at q = 10 whose trials reach |E| = 87 only
+        # once in eight, so no two trials agree on it: (86, 86, 85, 87, 86,
+        # 86, 86, 86), not stable.  The fourth trial is certified.
+        g = henneberg_generate(3, 30, 629145196)[0]
+        res = verdict(g, LqSpace(3, 10.0), seed=904496091)
+        assert res.trial_ranks == (86, 86, 85, 87) and res.rank == g.m == 87
+        assert res.certified and res.stable and res.independent
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             max_rank_sample(wheel_graph(5), LqSpace(2, 3.0), trials=0)
+
+
+class TestCertificate:
+    def test_refuses_exactly_deficient_basis(self):
+        # The rows of a cycle in l_q^1 are exactly dependent at every
+        # placement, as row vw is a multiple of e_v - e_w.  At some
+        # placements a Cholesky of their rounded Gram matrix passes all the
+        # same; the shift, even at its smallest trace, must refuse them.
+        g, space = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), LqSpace(1, 3.0)
+        s = _shift(5, 5, 1, 2, space.q, 5 / 4)
+        passed = 0
+        for seed in range(100):
+            _, m = _sample(g, space, np.random.default_rng(seed))
+            assert numerical_rank(m, overwrite=True).rank == 4
+            b = m.entries
+            if _positive_definite(b @ b.T, 0.0):
+                passed += 1
+                assert not _positive_definite(b @ b.T, s)
+        assert passed > 0
+
+    def test_refuses_entries_near_underflow(self):
+        # |x|^9 of a difference x = 2^-150 is 2^-1350, which would underflow
+        # to zero at q = 10; at q = 3 it is 2^-300, a normal double.
+        g = complete_graph(3)
+        p = Placement(2, [[0.0, 0.0], [2.0**-150, 0.5], [-0.5, 0.25]])
+        assert _normal_entries(g, p, 3.0) and not _normal_entries(g, p, 10.0)
+        m = rigidity_matrix(g, p, LqSpace(2, 10.0))
+        res = numerical_rank(m, overwrite=True)
+        assert res.rank == 3 and _basis_gram(g, LqSpace(2, 10.0), p, m.entries, res) is None
+
+    def test_sound_on_small_graphs(self):
+        # At q = 3 an entry sgn(x) x^2 is exact in Fractions of the float
+        # coordinates, so each certified basis can be checked for full rank.
+        # Graphs of every class up to 6 vertices, d = 1-3: many are
+        # dependent, and their certificates run on a greedy count basis.
+        certified = Counter()
+        for n in range(2, 7):
+            for g in all_graphs(n):
+                for d in (1, 2, 3):
+                    space = LqSpace(d, 3.0)
+                    p = sample_placement(g, space, np.random.default_rng([n, d, g.m]))
+                    ceiling = min(g.m, space.target_rank(n), count_rank(g, d))
+                    if not certifies(g, space, p, ceiling):
+                        continue
+                    rows = range(g.m) if ceiling == g.m else count_basis(g, d)
+                    exact = [exact_row(g, p, d, g.edges[i]) for i in rows]
+                    assert exact_rank(exact) == len(exact) == ceiling, (g.edges, d)
+                    certified[ceiling < g.m] += 1
+        assert certified[True] > 100 and certified[False] > 100
 
 
 class OriginFirst:
@@ -282,6 +387,9 @@ class TestVerdict:
         vd = verdict(complete_graph(5), LqSpace(2, 1.5), seed=0)
         assert not vd.independent
         assert vd.rank == 8 and vd.stress_dim == 2
+        # 8 of 10 singular values kept, far from the cutoff on both sides
+        kept, dropped = vd.sv_gap
+        assert dropped < 1e-3 and kept > 1e3
 
     def test_octahedron_independent_not_rigid(self):
         vd = verdict(octahedron(), LqSpace(3, 3.0), seed=0)
