@@ -173,6 +173,8 @@ class ScanConfig:
                     f"q={q} is within {DEFAULT_Q_GAP} of the Euclidean point; "
                     "rank verdicts there are ambiguous (override to force)"
                 )
+        if not self.sources:
+            raise InputError("at least one source is required")
         for s in self.sources:
             if s not in SOURCES:
                 raise InputError(f"unknown source {s!r}")

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_edges", "_adj", "_games", "_count_bases", "_ends")
+    __slots__ = ("n", "_edges", "_adj", "_games", "_ends")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -41,11 +41,8 @@ class Graph:
         # reader of `edges` share.
         self._edges = tuple(sorted(normalized))
         self._adj = tuple(frozenset(s) for s in adj)
-        # Loaded pebble games by count, None if rejected; see `_loaded`.
+        # (game, accepted edge indices) by count; see `_loaded`.
         self._games: dict = {}
-        # Greedy (d,d) bases of a graph that is not (d,d)-sparse, by d;
-        # made on first use, as few graphs need one.  See `count_basis`.
-        self._count_bases: Optional[dict] = None
         # Edge endpoint arrays, made on first use by `geometry`.
         self._ends = None
 
@@ -146,7 +143,7 @@ class Graph:
             adj[u] = adj[u] - gone[u] | new[u]
         out = Graph.__new__(Graph)
         out.n, out._edges, out._adj = n, tuple(edges), tuple(adj)
-        out._games, out._count_bases, out._ends = {}, None, None
+        out._games, out._ends = {}, None
         return out
 
     def without_edges_at(self, v: int) -> "Graph":
@@ -300,22 +297,22 @@ class _PebbleGame:
                 return False
         return True
 
-    def insert(self, u: int, v: int) -> bool:
-        if not self.collect(u, v, self.l + 1):
-            return False
-        if self.pebbles[u] > 0:
-            self.pebbles[u] -= 1
-            self.out[u].append(v)
-        else:
-            self.pebbles[v] -= 1
-            self.out[v].append(u)
-        return True
+    def insert(self, u: int, v: int, copies: int = 1) -> bool:
+        """Insert `copies` copies of uv, all or none.
 
-    def load(self, g: Graph, multiplier: int) -> bool:
-        for u, v in g.edges:
-            for _ in range(multiplier):
-                if not self.insert(u, v):
-                    return False
+        Gathers l + copies pebbles on {u, v} first.  If that fails, the set R
+        reachable from {u, v} holds no other free pebble, so i(R) = k|R| -
+        peb(u) - peb(v) >= k|R| - l - copies + 1, and the copies would break
+        the count on R.  If it succeeds, each insert finds l + 1 pebbles."""
+        if not self.collect(u, v, self.l + copies):
+            return False
+        for _ in range(copies):
+            if self.pebbles[u] > 0:
+                self.pebbles[u] -= 1
+                self.out[u].append(v)
+            else:
+                self.pebbles[v] -= 1
+                self.out[v].append(u)
         return True
 
     def copy(self) -> "_PebbleGame":
@@ -325,31 +322,25 @@ class _PebbleGame:
         return other
 
 
-def _loaded(g: Graph, k: int, l: int, multiplier: int) -> Optional[_PebbleGame]:
-    """The (k, l) game with every edge of g inserted `multiplier` times, None
-    if some insertion fails.  Loaded once per graph and count and kept on g;
-    callers must not move its pebbles, so answers never depend on query order."""
+def _loaded(g: Graph, k: int, l: int, multiplier: int) -> tuple[_PebbleGame, tuple[int, ...]]:
+    """The (k, l) game after a greedy pass over g's edges in order, each
+    inserted `multiplier` times or not at all, and the indices of the edges
+    it took.  Played once per graph and count and kept on g; callers must
+    not move its pebbles, so answers never depend on query order."""
     key = (k, l, multiplier)
     if key not in g._games:
         game = _PebbleGame(g.n, k, l)
-        g._games[key] = game if game.load(g, multiplier) else None
+        taken = tuple(i for i, (u, v) in enumerate(g.edges) if game.insert(u, v, multiplier))
+        g._games[key] = (game, taken)
     return g._games[key]
 
 
 def count_basis(g: Graph, d: int) -> tuple[int, ...]:
     """Indices into `g.edges` of the edges a greedy (d,d)-pebble game
     accepts, inserting them in order: a basis of the (d,d)-count matroid on
-    g's edges.  Every index when g is (d,d)-sparse, read from the loaded
-    game; otherwise the greedy game runs once per graph and d and its basis
-    is kept on g.  The loaded game is never moved."""
-    if _loaded(g, d, d, 1) is not None:
-        return tuple(range(g.m))
-    if g._count_bases is None:
-        g._count_bases = {}
-    if d not in g._count_bases:
-        game = _PebbleGame(g.n, d, d)
-        g._count_bases[d] = tuple(i for i, (u, v) in enumerate(g.edges) if game.insert(u, v))
-    return g._count_bases[d]
+    g's edges, every index when g is (d,d)-sparse.  Read from the game
+    `is_sparse` keeps, which runs once per graph and d."""
+    return _loaded(g, d, d, 1)[1]
 
 
 def count_rank(g: Graph, d: int) -> int:
@@ -360,10 +351,12 @@ def count_rank(g: Graph, d: int) -> int:
 
 def is_sparse(g: Graph, params: SparsityParams) -> bool:
     """True iff every nonempty-edge subgraph H satisfies
-    edge_multiplier*|E(H)| <= k*|V(H)| - l, decided by the pebble game.
-    The game is loaded once per graph and count and reused by later
-    `is_sparse`, `is_tight` and `edge_addable` calls on the same graph."""
-    return _loaded(g, params.k, params.l, params.edge_multiplier) is not None
+    edge_multiplier*|E(H)| <= k*|V(H)| - l, decided by the pebble game:
+    true iff the greedy pass of `_loaded` takes every edge.  That pass runs
+    once per graph and count and goes on past a refusal, so a graph that is
+    not sparse costs a full pass; `is_tight`, `edge_addable` and
+    `count_basis` read the same record."""
+    return len(_loaded(g, params.k, params.l, params.edge_multiplier)[1]) == g.m
 
 
 def is_tight(g: Graph, d: int) -> bool:
@@ -372,17 +365,17 @@ def is_tight(g: Graph, d: int) -> bool:
 
 
 def _grown_game(g: Graph, d: int, x: int, y: int) -> Optional[_PebbleGame]:
-    """A copy of g's loaded (d,d) game with xy inserted, None when xy is an
-    edge or g + xy is not (d,d)-sparse.  Endpoints outside 0..n-1 raise
-    ValueError."""
+    """A copy of g's (d,d) game with xy inserted, None when xy is an edge or
+    g + xy is not (d,d)-sparse, as when g's pass refused an edge.  Endpoints
+    outside 0..n-1 raise ValueError."""
     if x == y:
         raise ValueError("endpoints must be distinct")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"edge ({x},{y}) out of range for n={g.n}")
     if g.has_edge(x, y):
         return None
-    game = _loaded(g, d, d, 1)
-    if game is None:
+    game, taken = _loaded(g, d, d, 1)
+    if len(taken) < g.m:
         return None
     game = game.copy()
     return game if game.insert(x, y) else None
@@ -393,20 +386,20 @@ def edge_addable(g: Graph, d: int, x: int, y: int) -> bool:
 
     Equivalently: no critical set (i(U) = d|U| - d, |U| > 1) contains both
     x and y.  Decided by gathering d+1 pebbles on {x, y} in a copy of the
-    (d,d) game with all edges of g inserted; that game is loaded once per
-    graph and count and shared with `is_sparse`, and the critical set is
-    never materialized.  Endpoints outside 0..n-1 raise ValueError.
+    (d,d) game that `is_sparse` keeps; when its pass refused an edge, g is
+    not sparse and no copy is made.  The critical set is never
+    materialized.  Endpoints outside 0..n-1 raise ValueError.
     """
     return _grown_game(g, d, x, y) is not None
 
 
 def with_addable_edge(g: Graph, d: int, x: int, y: int) -> Optional[Graph]:
     """g + xy when `edge_addable(g, d, x, y)`, else None.  The new graph is
-    given the game that answered, with xy inserted: it is g + xy's loaded
-    (d,d) game, so the new graph never loads one."""
+    given the game that answered, with xy inserted, as its (d,d) record:
+    every edge taken, so the new graph never plays that game itself."""
     game = _grown_game(g, d, x, y)
     if game is None:
         return None
     out = g.with_edge(x, y)
-    out._games[(d, d, 1)] = game
+    out._games[(d, d, 1)] = (game, tuple(range(out.m)))
     return out

@@ -17,6 +17,7 @@ import numpy as np
 from .graphs import (
     Graph,
     SparsityParams,
+    _PebbleGame,
     complete_graph,
     edge_addable,
     is_sparse,
@@ -347,7 +348,8 @@ def random_degree_bounded_sparse(d: int, n: int, seed: int) -> Graph:
 
 def random_count_sparse(params: SparsityParams, n: int, seed: int) -> Graph:
     """Random graph satisfying the (k, l, multiplier) sparsity count: edges
-    are accepted greedily in shuffled order up to a random target size."""
+    are accepted greedily in shuffled order up to a random target size, by
+    one pebble game that inserts each accepted edge `edge_multiplier` times."""
     if n < 2:
         raise ValueError("n must be at least 2")
     rng = np.random.default_rng(seed)
@@ -355,11 +357,11 @@ def random_count_sparse(params: SparsityParams, n: int, seed: int) -> Graph:
     rng.shuffle(pairs)
     cap = (params.k * n - params.l) // params.edge_multiplier
     target = int(rng.integers(1, max(cap, 1) + 1))
+    game = _PebbleGame(n, params.k, params.l)
     accepted: list[tuple[int, int]] = []
     for u, v in pairs:
         if len(accepted) >= target:
             break
-        candidate = Graph(n, accepted + [(u, v)])
-        if is_sparse(candidate, params):
+        if game.insert(u, v, params.edge_multiplier):
             accepted.append((u, v))
     return Graph(n, accepted)

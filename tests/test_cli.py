@@ -417,6 +417,12 @@ class TestScan:
         totals = doc["totals"]
         assert totals["marginal"] == 0 and totals["predicted"] == totals["cells"] == 20
 
+    @pytest.mark.parametrize("sources", ["", ",", ",,"])
+    def test_no_source_exit_2(self, sources, capsys):
+        argv = ["scan", "-d", "3", "-q", "3", "--max-n", "6", "--sources", sources]
+        assert main(argv) == 2
+        assert "at least one source" in capsys.readouterr().err
+
     def test_sources_mix(self):
         summary = run_scan(
             ScanConfig(

@@ -212,8 +212,8 @@ def non_edges(g):
 
 
 def game_state(g):
-    """Pebbles and orientation of every game loaded on g."""
-    return {key: game and (game.pebbles[:], [o[:] for o in game.out]) for key, game in g._games.items()}
+    """Pebbles, orientation and taken edges of every game played on g."""
+    return {key: (game.pebbles[:], [o[:] for o in game.out], taken) for key, (game, taken) in g._games.items()}
 
 
 class TestPebbleCache:
@@ -324,13 +324,14 @@ class TestPebbleCache:
         assert got == [want] * 20
 
 
-def greedy_count(g, d):
-    """Edges kept in order while the kept set stays (d,d)-sparse, by brute force."""
+def greedy_basis(g, params):
+    """Indices of the edges kept in order while the kept set stays sparse
+    under `params`, by brute force."""
     kept: list = []
-    for e in g.edges:
-        if brute_sparse(Graph(g.n, kept + [e]), SparsityParams(d, d)):
-            kept.append(e)
-    return len(kept)
+    for i, e in enumerate(g.edges):
+        if brute_sparse(Graph(g.n, [g.edges[j] for j in kept] + [e]), params):
+            kept.append(i)
+    return tuple(kept)
 
 
 class TestCountRank:
@@ -341,11 +342,23 @@ class TestCountRank:
                 g = Graph(n, edges)
                 assert count_rank(g, d) == brute_count_rank(g, d), edges
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_greedy_on_brute_force(self, small_classes, d):
+    @pytest.mark.parametrize(
+        "params",
+        [pytest.param(SparsityParams(d, d), id=str(d)) for d in (1, 2, 3)]
+        + [pytest.param(SparsityParams(k, l, 2), id=f"{k}-{l}-2") for k, l in ((2, 2), (3, 3), (5, 7))],
+    )
+    def test_greedy_on_brute_force(self, small_classes, params):
+        # The multiplier-2 counts insert both copies of an edge or neither.
+        # Only (3, 3, 2) meets, on these classes, a refused edge whose first
+        # copy alone would fit and a later edge that the stray copy blocks.
+        key = (params.k, params.l, params.edge_multiplier)
         for n, edges in small_classes:
             g = Graph(n, edges)
-            assert count_rank(g, d) == greedy_count(g, d), edges
+            want = greedy_basis(g, params)
+            assert is_sparse(g, params) == (want == tuple(range(g.m))), (edges, params)
+            assert g._games[key][1] == want, (edges, params)
+            if params.l == params.k and params.edge_multiplier == 1:
+                assert count_basis(g, params.k) == want and count_rank(g, params.k) == len(want)
 
     def test_sparse_graph_reads_its_game(self, small_classes):
         for n, edges in small_classes:
@@ -354,7 +367,8 @@ class TestCountRank:
                 state = game_state(g)
                 assert count_rank(g, 2) == g.m
                 assert count_basis(g, 2) == tuple(range(g.m))
-                assert game_state(g) == state and g._count_bases is None, edges
+                assert count_basis(g, 2) is g._games[(2, 2, 1)][1]
+                assert game_state(g) == state and list(g._games) == [(2, 2, 1)], edges
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_basis_is_sparse_and_maximal(self, small_classes, d):
@@ -369,11 +383,14 @@ class TestCountRank:
     def test_kept_once_per_graph_and_d(self):
         g = complete_graph(5)
         assert [count_rank(g, d) for d in (1, 2, 3, 2)] == [4, 8, 10, 8]
-        assert g._games == {(1, 1, 1): None, (2, 2, 1): None, (3, 3, 1): g._games[(3, 3, 1)]}
         # the star at 0, then the first eight edges in lexicographic order
-        assert g._count_bases == {1: (0, 1, 2, 3), 2: tuple(range(8))}
-        assert count_basis(g, 2) is g._count_bases[2]
-        assert g.with_vertex([0])._count_bases is None
+        taken = {key: record[1] for key, record in g._games.items()}
+        assert taken == {(1, 1, 1): (0, 1, 2, 3), (2, 2, 1): tuple(range(8)), (3, 3, 1): tuple(range(10))}
+        state = game_state(g)
+        assert not is_sparse(g, SparsityParams(2, 2)) and is_sparse(g, SparsityParams(3, 3))
+        assert not edge_addable(g, 2, 0, 1) and count_basis(g, 2) is taken[(2, 2, 1)]
+        assert game_state(g) == state
+        assert g.with_vertex([0])._games == {}
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -369,7 +370,34 @@ class TestIndependenceTransfer:
                 assert verdict(out, LqSpace(d, q), seed=trial).independent
 
 
+def reference_count_sparse(params, n, seed):
+    """`random_count_sparse` as a loop that judges each candidate by building
+    the graph and asking `is_sparse`."""
+    rng = np.random.default_rng(seed)
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    cap = (params.k * n - params.l) // params.edge_multiplier
+    target = int(rng.integers(1, max(cap, 1) + 1))
+    accepted: list = []
+    for u, v in pairs:
+        if len(accepted) >= target:
+            break
+        if is_sparse(Graph(n, accepted + [(u, v)]), params):
+            accepted.append((u, v))
+    return Graph(n, accepted)
+
+
 class TestRandomGenerators:
+    @pytest.mark.parametrize(
+        "count", [(5, 7, 2), (3, 3, 1), (2, 3, 1), (2, 2, 2), (1, 1, 1)], ids=lambda c: "-".join(map(str, c))
+    )
+    def test_count_sparse_matches_reference(self, count):
+        params = SparsityParams(*count)
+        for n in (5, 12, 40):
+            for seed in range(20):
+                want = reference_count_sparse(params, n, seed)
+                assert random_count_sparse(params, n, seed) == want, (count, n, seed)
+
     def test_degree_bounded_properties(self):
         for seed in range(12):
             g = random_degree_bounded_sparse(3, 9, seed)
