@@ -180,6 +180,11 @@ class ScanConfig:
                 raise InputError(f"unknown source {s!r}")
             if SOURCES[s].surface and self.d != 3:
                 raise InputError("surface sources require d = 3")
+        smallest = min(SOURCES[s].lo(self.d) for s in self.sources)
+        if self.max_n < smallest:
+            raise InputError(
+                f"max_n={self.max_n} is below n={smallest}, the smallest graph of any source"
+            )
 
 
 def _scan_instances(config: ScanConfig) -> list[dict]:

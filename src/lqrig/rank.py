@@ -30,13 +30,21 @@ positive definiteness", BIT 46, 2006; see `_basis_gram`).  The rank is
 then the generic rank, proved, and sampling stops.  Otherwise it stops
 once two placements reach the ceiling, and the rank is "stable" when two
 trials agree on it, as a float verdict with no certificate.
+
+The first trial tries the certificate on all rows before any SVD, while
+the ceiling is still |E|; its shift also covers the SVD's cutoff, so a
+pass means the SVD would keep all |E| singular values.  Only a failed
+certificate, or a later trial, takes the trial's SVD.  A verdict
+certified that way takes its witness's SVD (`tolerance_used`, `sv_gap`)
+only when one of them is first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -81,23 +89,39 @@ class Verdict:
     """Sampled generic rank of a graph's altered rigidity matrix.
 
     `rank` is the largest of `trial_ranks`, one per sampled placement;
-    `witness` is the first placement that reached it and `tolerance_used`
-    the singular-value cutoff of its equilibrated matrix, and `sv_gap` the
-    witness's smallest kept and largest dropped singular values divided by
-    that cutoff.  `certified` says that a trial's rank was proved to be the
-    count-basis size, so `rank` is the generic rank.  independent <=>
-    rank = |E|; rigid <=> rank = d|V| - dim(isometries), which is d|V| - d
-    for q != 2 and d|V| - d(d+1)/2 at q = 2.
+    `witness` is the first placement that reached it.  `certified` says
+    that a trial's rank was proved to be the count-basis size, so `rank` is
+    the generic rank.  independent <=> rank = |E|; rigid <=> rank = d|V| -
+    dim(isometries), which is d|V| - d for q != 2 and d|V| - d(d+1)/2 at
+    q = 2.
+
+    `witness_rank` returns the witness's `numerical_rank`: the trial's own,
+    or, for a first trial certified before its SVD, one taken on the first
+    read of `tolerance_used` or `sv_gap` and kept.
     """
 
     rank: int
     edge_count: int
     target_rank: int
     trial_ranks: tuple[int, ...]
-    tolerance_used: float
     witness: Placement
     certified: bool
-    sv_gap: tuple[Optional[float], Optional[float]]
+    witness_rank: Callable[[], RankResult] = field(repr=False, compare=False)
+
+    @cached_property
+    def _witness_svd(self) -> RankResult:
+        return self.witness_rank()
+
+    @property
+    def tolerance_used(self) -> float:
+        """The singular-value cutoff of the witness's equilibrated matrix."""
+        return self._witness_svd.tolerance_used
+
+    @property
+    def sv_gap(self) -> tuple[Optional[float], Optional[float]]:
+        """The witness's smallest kept and largest dropped singular values
+        divided by `tolerance_used`."""
+        return self._witness_svd.sv_gap
 
     @property
     def stable(self) -> bool:
@@ -211,23 +235,27 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _shift(rows: int, cols: int, d: int, degree: int, q: float, trace: float) -> float:
+def _shift(
+    rows: int, cols: int, d: int, degree: int, q: float, trace: float, rel_tol: float
+) -> float:
     """The diagonal shift s under which a passing Cholesky of fl(B B^T) - sI
     certifies the rows B of an equilibrated altered matrix (see
     `_basis_gram`), `trace` an upper bound on tr(fl(B B^T)).  B has `rows`
     rows of `cols` columns, |entries| < 1, 2d nonzeros a row and at most
     `degree` a column, so || |B| ||_2^2 <= || |B| ||_1 || |B| ||_inf <=
-    2d degree."""
+    2d degree.  The last term, (2 rel_tol max(rows, cols))^2 2d degree, is
+    the square of twice the largest SVD cutoff of B at `rel_tol`."""
     norm = 2.0 * d * degree
     gamma = _gamma(rows + 1)
     cholesky = gamma / (1.0 - 2.0 * gamma) * trace
     gram = _gamma(cols) * norm
     entry = _gamma(math.ceil(q) + 1)
     entries = (entry / (1.0 - entry)) ** 2 * norm
+    cutoff = (2.0 * rel_tol * max(rows, cols)) ** 2 * norm
     # Rounding s up covers the few roundings made computing it, and the
     # underflow terms of the bounds (multiples of 2^-1074 by a polynomial
     # in the sizes), far below 2^-40 s.
-    return (cholesky + gram + entries) * (1.0 + 2.0**-40)
+    return (cholesky + gram + entries + cutoff) * (1.0 + 2.0**-40)
 
 
 def _normal_entries(g: Graph, p: Placement, q: float) -> bool:
@@ -245,15 +273,21 @@ def _normal_entries(g: Graph, p: Placement, q: float) -> bool:
 
 
 def _basis_gram(
-    g: Graph, space: LqSpace, p: Placement, a: np.ndarray, res: RankResult
+    g: Graph,
+    space: LqSpace,
+    p: Placement,
+    a: np.ndarray,
+    res: Optional[RankResult],
+    rel_tol: float,
 ) -> Optional[tuple[np.ndarray, float]]:
     """fl(B B^T) and the shift s of `_shift`, for the rows B of the
-    equilibrated matrix `a` of g at p (whose rank is `res`) that form a
-    (d,d) count basis: all rows when the rank is |E|, the edges of
-    `graphs.count_basis` when it is that basis's size.  None when the rank
-    is neither, or when the Cholesky cannot pass: it passes only if the
-    smallest singular value of B, which is at most res.smallest_kept,
-    exceeds sqrt(s), give or take its rounding.
+    equilibrated matrix `a` of g at p that form a (d,d) count basis.  With
+    `res`, the rank of `a` at `rel_tol`, B is all rows when that rank is
+    |E| and the edges of `graphs.count_basis` when it is that basis's size;
+    with None, before any SVD, B is all rows.  None when the rank is
+    neither, or when the Cholesky cannot pass: with `res`, it passes only
+    if the smallest singular value of B, which is at most
+    res.smallest_kept, exceeds sqrt(s), give or take its rounding.
 
     If the Cholesky of fl(B B^T) - sI passes, with the diagonal rounded
     down, the exact altered matrix at p has full rank on those rows, so
@@ -268,8 +302,16 @@ def _basis_gram(
     the subtraction x = p_v - p_w, raised to the power q - 1, and 2u from a
     pow within 1 ulp, which is assumed of numpy's `**`.  The scalings
     round nothing while `_normal_entries` holds, which is required.
+
+    The pass also gives sigma_min(B) > 2 rel_tol max(rows, cols)
+    || |B| ||_2, twice the SVD cutoff of B, as sigma_max(B) <= || |B| ||_2.
+    So when B is all rows, `numerical_rank` of that matrix keeps all |E|
+    singular values, as long as its SVD's error stays below the cutoff
+    (assumed of LAPACK's, backward stable to a small multiple of u
+    || B ||_2): a certificate taken before the SVD never reports a rank
+    that the witness's SVD refuses.
     """
-    k = res.rank
+    k = g.m if res is None else res.rank
     if k == 0:
         return None
     if k == g.m:
@@ -282,8 +324,10 @@ def _basis_gram(
     gram = b @ b.T
     # The computed trace, a sum of k nonnegative terms, is within gamma_k.
     trace = float(np.trace(gram)) / (1.0 - _gamma(k))
-    s = _shift(k, a.shape[1], space.d, g.max_degree(), space.q, trace)
-    if not res.smallest_kept**2 > s or not _normal_entries(g, p, space.q):
+    s = _shift(k, a.shape[1], space.d, g.max_degree(), space.q, trace, rel_tol)
+    if res is not None and not res.smallest_kept**2 > s:
+        return None
+    if not _normal_entries(g, p, space.q):
         return None
     return gram, s
 
@@ -317,40 +361,61 @@ def max_rank_sample(
     exceeds that ceiling, so `trial_ranks` is then a prefix of the full
     run's, and the rank, cutoff and witness are the full run's.  The count
     rank is computed only once a trial falls short of min(|E|, target rank)
-    or needs a count basis.  Each trial's matrix is equilibrated in place
-    and dropped before the certificate's Cholesky and the next draw.
+    or needs a count basis.
+
+    While that ceiling is |E|, the first trial tries the certificate on all
+    rows before its SVD; a pass ends sampling with rank |E|, and the
+    witness's SVD waits until the verdict's cutoff is read.  If it fails,
+    the trial's matrix is built again and takes its SVD; the same rows are
+    not tried twice.  Every other trial takes its SVD, then the
+    certificate when it reaches the ceiling.  Each trial's matrix is
+    equilibrated in place and dropped before the Cholesky and the next
+    draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    ceiling = min(g.m, space.target_rank(g.n))
+    target = space.target_rank(g.n)
+    ceiling = min(g.m, target)
     ranks: list[int] = []
+    top: Optional[RankResult] = None
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
         p, matrix = _sample(g, space, rng)
+        first = i == 0 and ceiling == g.m
+        if first:
+            _equilibrate(matrix.entries)
+            gram = _basis_gram(g, space, p, matrix.entries, None, rel_tol)
+            del matrix  # freed before the Cholesky, for peak memory
+            certified = gram is not None and _positive_definite(*gram)
+            del gram
+            if certified:
+                ranks.append(g.m)
+                witness = p
+                break
+            matrix = rigidity_matrix(g, p, space)
         res = numerical_rank(matrix, rel_tol, overwrite=True)
         if not ranks or res.rank > max(ranks):
             top, witness = res, p
         ranks.append(res.rank)
         if res.rank < ceiling:
             ceiling = min(ceiling, count_rank(g, space.d))
-        gram = _basis_gram(g, space, p, matrix.entries, res) if res.rank == ceiling else None
+        # The first trial's rows at rank |E| have failed already.
+        basis = res.rank == ceiling and not (first and res.rank == g.m)
+        gram = _basis_gram(g, space, p, matrix.entries, res, rel_tol) if basis else None
         del matrix  # freed before the Cholesky and the next draw, for peak memory
         certified = gram is not None and _positive_definite(*gram)
         del gram
         if certified or sum(r >= ceiling for r in ranks) == 2:
             break
-    return Verdict(
-        top.rank,
-        g.m,
-        space.target_rank(g.n),
-        tuple(ranks),
-        top.tolerance_used,
-        witness,
-        certified,
-        top.sv_gap,
-    )
+
+    def witness_rank() -> RankResult:
+        if top is not None:
+            return top
+        return numerical_rank(rigidity_matrix(g, witness, space), rel_tol, overwrite=True)
+
+    return Verdict(max(ranks), g.m, target, tuple(ranks), witness, certified, witness_rank)
 
 
 # The same function under the name that callers asking for a verdict use.

@@ -62,8 +62,7 @@ def flat_verdict(g, space, **kwargs):
     p = Placement(3, np.column_stack([rng.uniform(-1, 1, (g.n, 2)), np.zeros(g.n)]))
     res = numerical_rank(rigidity_matrix(g, p, space))
     return Verdict(
-        res.rank, g.m, space.target_rank(g.n), (res.rank, res.rank), res.tolerance_used, p,
-        False, res.sv_gap,
+        res.rank, g.m, space.target_rank(g.n), (res.rank, res.rank), p, False, lambda: res
     )
 
 
@@ -547,6 +546,18 @@ class TestScan:
 
     def test_cli_bad_config_exit_2(self, capsys):
         assert main(["scan", "-d", "2", "-q", "2.0", "--max-n", "5"]) == 2
+
+    @pytest.mark.parametrize("sources", [None, "sphere", "henneberg,projective"])
+    def test_max_n_below_every_source_exit_2(self, sources, capsys):
+        # A scan that would judge no graph is an input error, not 0 cells.
+        argv = ["scan", "-d", "3", "-q", "3", "--max-n", "3"]
+        assert main(argv + (["--sources", sources] if sources else [])) == 2
+        assert "max_n=3" in capsys.readouterr().err
+
+    def test_max_n_reaching_one_source_scans_it(self):
+        # sphere starts at 4 vertices, henneberg at 2d = 6
+        config = ScanConfig(d=3, q_list=(3.0,), max_n=4, count=1, sources=("henneberg", "sphere"))
+        assert run_scan(config)["totals"]["cells"] == 1
 
     def test_analyze_function_matches_cli(self, wheel_file):
         report = run_analyze(wheel_file, 2, 3.0, trials=4, seed=0)

@@ -1,10 +1,12 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lqrig.geometry import LqSpace, Placement, rigidity_matrix
 from lqrig.graphs import Graph, complete_graph, count_basis, count_rank, path_graph, wheel_graph
@@ -16,7 +18,9 @@ from lqrig.oracles import (
 )
 from lqrig.rank import (
     _RESAMPLE_BUDGET,
+    DEFAULT_REL_TOL,
     _basis_gram,
+    _equilibrate,
     _normal_entries,
     _positive_definite,
     _sample,
@@ -46,15 +50,16 @@ def k4_plus_isolated() -> Graph:
     return Graph(5, complete_graph(4).edges)
 
 
-def certifies(g, space, p, ceiling):
-    """Whether the trial at p reaches the ceiling and is certified."""
+def certifies(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
+    """Whether the trial at p reaches the ceiling and is certified, its SVD
+    taken first."""
     m = rigidity_matrix(g, p, space)
-    res = numerical_rank(m, overwrite=True)
-    gram = _basis_gram(g, space, p, m.entries, res) if res.rank >= ceiling else None
+    res = numerical_rank(m, rel_tol, overwrite=True)
+    gram = _basis_gram(g, space, p, m.entries, res, rel_tol) if res.rank >= ceiling else None
     return gram is not None and _positive_definite(*gram)
 
 
-def reference_trials(g, space, trials, seed):
+def reference_trials(g, space, trials, seed, rel_tol=DEFAULT_REL_TOL):
     """(rank, placement, cutoff) of every trial of the one-placement-at-a-time
     loop; the number of trials up to the first that reaches min(|E|, target
     rank, count rank), the count rank found by brute force, and is
@@ -64,10 +69,10 @@ def reference_trials(g, space, trials, seed):
     out, cut, certified = [], None, False
     for i in range(trials):
         p = sample_placement(g, space, np.random.default_rng([seed, i]))
-        res = numerical_rank(rigidity_matrix(g, p, space))
+        res = numerical_rank(rigidity_matrix(g, p, space), rel_tol)
         out.append((res.rank, p, res.tolerance_used))
         if cut is None:
-            if certifies(g, space, p, ceiling):
+            if certifies(g, space, p, ceiling, rel_tol):
                 cut, certified = i + 1, True
             elif sum(r >= ceiling for r, _, _ in out) == 2:
                 cut = i + 1
@@ -160,7 +165,66 @@ def test_power_of_two_row_scaling_is_invisible(data):
     assert numerical_rank(scaled) == numerical_rank(m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_equilibrate_is_idempotent(a):
+    # A certificate equilibrates the first trial's matrix before its SVD;
+    # when it fails, `numerical_rank` equilibrates a fresh copy, which must
+    # give the same bits a second pass over the first would.
+    once = a.copy()
+    _equilibrate(once)
+    twice = once.copy()
+    _equilibrate(twice)
+    assert np.array_equal(once, twice)
+
+
+class SvdCounter:
+    """Stand-in for np.linalg.svd that counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self._svd = 0, np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._svd(*args, **kwargs)
+
+
 class TestMaxRankSample:
+    @pytest.mark.parametrize("read", ["tolerance_used", "sv_gap", "to_json_dict"])
+    def test_certified_first_trial_takes_svd_on_read(self, read, monkeypatch):
+        # A first trial certified before its SVD takes none; the witness's
+        # SVD runs when its cutoff or gap is first read, and only once.
+        g, space = wheel_graph(5), LqSpace(2, 3.0)
+        counter = SvdCounter(monkeypatch)
+        res = max_rank_sample(g, space, seed=0)
+        assert res.trial_ranks == (8,) and res.certified and res.independent
+        assert counter.calls == 0
+        value = getattr(res, read)
+        if read == "to_json_dict":
+            value = value()
+        assert counter.calls == 1
+        witness = numerical_rank(rigidity_matrix(g, res.witness, space))
+        assert (res.tolerance_used, res.sv_gap) == (witness.tolerance_used, witness.sv_gap)
+        assert res.to_json_dict()["tolerance_used"] == witness.tolerance_used
+        assert counter.calls == 2  # the reference above, and no second read
+
+    def test_uncertified_first_trial_takes_one_svd(self, monkeypatch):
+        # K5 in l_q^2 has |E| = 10 above the target rank 8, so the first
+        # trial takes its SVD; the verdict keeps that trial's result.
+        counter = SvdCounter(monkeypatch)
+        res = max_rank_sample(complete_graph(5), LqSpace(2, 1.5), seed=0)
+        calls = counter.calls
+        assert calls == len(res.trial_ranks)
+        res.to_json_dict()
+        assert counter.calls == calls
+
     def test_wheel_rank_8(self):
         res = max_rank_sample(wheel_graph(5), LqSpace(2, 3.0), seed=0)
         assert res.rank == 8 and res.stable
@@ -241,6 +305,9 @@ class TestMaxRankSample:
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 8])
     def test_matches_reference_loop(self, trials):
+        # The reference takes every SVD before its certificate, so a first
+        # trial certified before its SVD must be one that the SVD at the
+        # same placement keeps at full rank, at every rel_tol.
         cases = [
             (wheel_graph(5), LqSpace(2, 3.0)),
             (complete_graph(5), LqSpace(3, 1.5)),
@@ -249,19 +316,18 @@ class TestMaxRankSample:
             (complete_graph(3), LqSpace(2, 2.0)),
             (k5_plus_isolated(), LqSpace(2, 6.0)),
         ]
-        for g, space in cases:
-            for seed in (0, 7):
-                ref, cut, certified = reference_trials(g, space, trials, seed)
-                ranks = [r for r, _, _ in ref]
-                top = ranks.index(max(ranks))
-                res = max_rank_sample(g, space, trials=trials, seed=seed)
-                # The early exit keeps a prefix and the full loop's verdict,
-                # which a certificate makes stable.
-                assert res.trial_ranks == tuple(ranks[:cut]) and res.certified == certified
-                assert res.rank == ranks[top]
-                assert res.stable == (certified or ranks.count(res.rank) >= 2)
-                assert res.tolerance_used == ref[top][2]
-                assert np.array_equal(res.witness.coords, ref[top][1].coords)
+        for (g, space), seed, rel_tol in product(cases, (0, 7), (DEFAULT_REL_TOL, 1e-6, 1e-3)):
+            ref, cut, certified = reference_trials(g, space, trials, seed, rel_tol)
+            ranks = [r for r, _, _ in ref]
+            top = ranks.index(max(ranks))
+            res = max_rank_sample(g, space, trials=trials, seed=seed, rel_tol=rel_tol)
+            # The early exit keeps a prefix and the full loop's verdict,
+            # which a certificate makes stable.
+            assert res.trial_ranks == tuple(ranks[:cut]) and res.certified == certified
+            assert res.rank == ranks[top]
+            assert res.stable == (certified or ranks.count(res.rank) >= 2)
+            assert res.tolerance_used == ref[top][2]
+            assert np.array_equal(res.witness.coords, ref[top][1].coords)
 
     def test_high_q_tight_graph_independent(self):
         # A (3,3)-tight graph, so independent for q != 2.  Without
@@ -292,9 +358,10 @@ class TestCertificate:
         # The rows of a cycle in l_q^1 are exactly dependent at every
         # placement, as row vw is a multiple of e_v - e_w.  At some
         # placements a Cholesky of their rounded Gram matrix passes all the
-        # same; the shift, even at its smallest trace, must refuse them.
+        # same; the shift, even at its smallest trace and with no cutoff
+        # term (rel_tol 0), must refuse them.
         g, space = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), LqSpace(1, 3.0)
-        s = _shift(5, 5, 1, 2, space.q, 5 / 4)
+        s = _shift(5, 5, 1, 2, space.q, 5 / 4, 0.0)
         passed = 0
         for seed in range(100):
             _, m = _sample(g, space, np.random.default_rng(seed))
@@ -313,7 +380,8 @@ class TestCertificate:
         assert _normal_entries(g, p, 3.0) and not _normal_entries(g, p, 10.0)
         m = rigidity_matrix(g, p, LqSpace(2, 10.0))
         res = numerical_rank(m, overwrite=True)
-        assert res.rank == 3 and _basis_gram(g, LqSpace(2, 10.0), p, m.entries, res) is None
+        assert res.rank == 3
+        assert _basis_gram(g, LqSpace(2, 10.0), p, m.entries, res, DEFAULT_REL_TOL) is None
 
     def test_sound_on_small_graphs(self):
         # At q = 3 an entry sgn(x) x^2 is exact in Fractions of the float
