@@ -185,14 +185,18 @@ def substitute(
     )
 
 
+def _check_reduction_vertex(g: Graph, v: int, d: int) -> None:
+    _check_vertices(g, [v], "reduction")
+    if g.degree(v) != d + 1:
+        raise ValueError(f"vertex {v} has degree {g.degree(v)}, need {d + 1}")
+
+
 def one_reduction_search(g: Graph, v: int, d: int) -> Optional[tuple[int, int]]:
     """Lexicographically least pair x < y of neighbours of v such that the
     1-reduction at v adding xy yields a (d,d)-sparse graph; None if no pair
     qualifies.  For d >= 3 with all neighbour degrees <= d+2, None implies
     the closed neighbourhood of v is K_{d+2}."""
-    _check_vertices(g, [v], "reduction")
-    if g.degree(v) != d + 1:
-        raise ValueError(f"vertex {v} has degree {g.degree(v)}, need {d + 1}")
+    _check_reduction_vertex(g, v, d)
     masked = g.without_edges_at(v)
     for x, y in combinations(sorted(g.neighbors(v)), 2):
         if g.has_edge(x, y):
@@ -210,8 +214,15 @@ def one_reduce(g: Graph, v: int, d: int) -> Optional[tuple[Graph, OpRecord]]:
 
 
 def _reduce_at(g: Graph, v: int, pair: Sequence[int], d: int) -> tuple[Graph, OpRecord]:
-    """Delete v and join the pair, given in the numbering before the deletion."""
+    """Delete v and join the pair, given in the numbering before the deletion.
+    Raises ValueError unless v has degree d+1 and the pair is two distinct,
+    non-adjacent neighbours of v."""
+    _check_reduction_vertex(g, v, d)
     x, y = pair
+    if x == y or not (g.has_edge(v, x) and g.has_edge(v, y)):
+        raise ValueError(f"added pair {[x, y]} is not two distinct neighbours of vertex {v}")
+    if g.has_edge(x, y):
+        raise ValueError(f"added pair {[x, y]} is already an edge")
     out = g.delete_vertex(v).with_edge(x - 1 if x > v else x, y - 1 if y > v else y)
     return out, OpRecord("reduce1", {"v": v, "added": [x, y], "d": d}, g.n, out.n)
 

@@ -22,21 +22,18 @@ placement, an independent edge set is (d,d)-sparse, and the rank is at
 most the (d,d) count rank (`graphs.count_rank`).  No placement can raise
 the rank above the ceiling min(|E|, target rank, count rank).
 
-A trial that reaches the ceiling is then certified, when it can be: a
-shifted floating-point Cholesky factorisation of the Gram matrix of the
-rows that form a (d,d) count basis proves that the exact matrix at that
-float placement has full rank on those rows (Rump, "Verification of
-positive definiteness", BIT 46, 2006; see `_basis_gram`).  The rank is
-then the generic rank, proved, and sampling stops.  Otherwise it stops
-once two placements reach the ceiling, and the rank is "stable" when two
-trials agree on it, as a float verdict with no certificate.
-
-The first trial tries the certificate on all rows before any SVD, while
-the ceiling is still |E|; its shift also covers the SVD's cutoff, so a
-pass means the SVD would keep all |E| singular values.  Only a failed
-certificate, or a later trial, takes the trial's SVD.  A verdict
-certified that way takes its witness's SVD (`tolerance_used`, `sv_gap`)
-only when one of them is first read.
+Each trial is certified before any SVD, when it can be: a shifted
+floating-point Cholesky factorisation of the Gram matrix of the rows that
+form a (d,d) count basis of the ceiling's size proves that the exact
+matrix at that float placement has full rank on those rows (Rump,
+"Verification of positive definiteness", BIT 46, 2006; see `_basis_gram`).
+The rank is then the generic rank, proved, and sampling stops; the shift
+also covers the SVD's cutoff, so the trial's SVD would keep that rank.  A
+trial that fails takes its SVD.  Sampling stops once two placements reach
+the ceiling, and the rank is "stable" when two trials agree on it, as a
+float verdict with no certificate.  A verdict whose witness was certified
+takes the witness's SVD (`tolerance_used`, `sv_gap`) only when one of them
+is first read.
 """
 
 from __future__ import annotations
@@ -96,8 +93,8 @@ class Verdict:
     q = 2.
 
     `witness_rank` returns the witness's `numerical_rank`: the trial's own,
-    or, for a first trial certified before its SVD, one taken on the first
-    read of `tolerance_used` or `sv_gap` and kept.
+    or, for a witness certified with no SVD, one taken on the first read of
+    `tolerance_used` or `sv_gap` and kept.
     """
 
     rank: int
@@ -235,23 +232,23 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _shift(
-    rows: int, cols: int, d: int, degree: int, q: float, trace: float, rel_tol: float
-) -> float:
+def _shift(g: Graph, space: LqSpace, rows: int, trace: float, rel_tol: float) -> float:
     """The diagonal shift s under which a passing Cholesky of fl(B B^T) - sI
-    certifies the rows B of an equilibrated altered matrix (see
-    `_basis_gram`), `trace` an upper bound on tr(fl(B B^T)).  B has `rows`
-    rows of `cols` columns, |entries| < 1, 2d nonzeros a row and at most
-    `degree` a column, so || |B| ||_2^2 <= || |B| ||_1 || |B| ||_inf <=
-    2d degree.  The last term, (2 rel_tol max(rows, cols))^2 2d degree, is
-    the square of twice the largest SVD cutoff of B at `rel_tol`."""
-    norm = 2.0 * d * degree
+    certifies `rows` rows B of g's equilibrated altered matrix A (see
+    `_basis_gram`), `trace` an upper bound on tr(fl(B B^T)).  A has |E|
+    rows of d|V| columns, |entries| < 1, 2d nonzeros a row and at most
+    max_degree a column, so || |A| ||_2^2 <= || |A| ||_1 || |A| ||_inf <=
+    2d max_degree, and so for B.  The last term, (2 rel_tol max(|E|,
+    d|V|))^2 2d max_degree, is the square of twice the largest SVD cutoff
+    of A at `rel_tol`."""
+    cols = space.d * g.n
+    norm = 2.0 * space.d * g.max_degree()
     gamma = _gamma(rows + 1)
     cholesky = gamma / (1.0 - 2.0 * gamma) * trace
     gram = _gamma(cols) * norm
-    entry = _gamma(math.ceil(q) + 1)
+    entry = _gamma(math.ceil(space.q) + 1)
     entries = (entry / (1.0 - entry)) ** 2 * norm
-    cutoff = (2.0 * rel_tol * max(rows, cols)) ** 2 * norm
+    cutoff = (2.0 * rel_tol * max(g.m, cols)) ** 2 * norm
     # Rounding s up covers the few roundings made computing it, and the
     # underflow terms of the bounds (multiples of 2^-1074 by a polynomial
     # in the sizes), far below 2^-40 s.
@@ -273,21 +270,14 @@ def _normal_entries(g: Graph, p: Placement, q: float) -> bool:
 
 
 def _basis_gram(
-    g: Graph,
-    space: LqSpace,
-    p: Placement,
-    a: np.ndarray,
-    res: Optional[RankResult],
-    rel_tol: float,
+    g: Graph, space: LqSpace, p: Placement, a: np.ndarray, ceiling: int, rel_tol: float
 ) -> Optional[tuple[np.ndarray, float]]:
     """fl(B B^T) and the shift s of `_shift`, for the rows B of the
-    equilibrated matrix `a` of g at p that form a (d,d) count basis.  With
-    `res`, the rank of `a` at `rel_tol`, B is all rows when that rank is
-    |E| and the edges of `graphs.count_basis` when it is that basis's size;
-    with None, before any SVD, B is all rows.  None when the rank is
-    neither, or when the Cholesky cannot pass: with `res`, it passes only
-    if the smallest singular value of B, which is at most
-    res.smallest_kept, exceeds sqrt(s), give or take its rounding.
+    equilibrated matrix `a` of g at p that form a (d,d) count basis of size
+    `ceiling`: all rows when it is |E|, else the edges of
+    `graphs.count_basis` when it is their number.  None when it is neither
+    (the target rank below the count rank, at q = 2), when it is 0, or when
+    `_normal_entries` fails.
 
     If the Cholesky of fl(B B^T) - sI passes, with the diagonal rounded
     down, the exact altered matrix at p has full rank on those rows, so
@@ -303,33 +293,27 @@ def _basis_gram(
     pow within 1 ulp, which is assumed of numpy's `**`.  The scalings
     round nothing while `_normal_entries` holds, which is required.
 
-    The pass also gives sigma_min(B) > 2 rel_tol max(rows, cols)
-    || |B| ||_2, twice the SVD cutoff of B, as sigma_max(B) <= || |B| ||_2.
-    So when B is all rows, `numerical_rank` of that matrix keeps all |E|
-    singular values, as long as its SVD's error stays below the cutoff
-    (assumed of LAPACK's, backward stable to a small multiple of u
-    || B ||_2): a certificate taken before the SVD never reports a rank
-    that the witness's SVD refuses.
+    The pass also gives sigma_min(B) > 2 rel_tol max(|E|, d|V|) || |a| ||_2,
+    twice the SVD cutoff of all of `a`, as sigma_max(a) <= || |a| ||_2.  B
+    is rows of `a`, so sigma_|B|(a) >= sigma_min(B), and `numerical_rank`
+    of the trial's matrix keeps at least |B| singular values, as long as
+    its SVD's error stays below the cutoff (assumed of LAPACK's, backward
+    stable to a small multiple of u || a ||_2): a certificate taken before
+    the SVD never reports a rank that the trial's SVD refuses.
     """
-    k = g.m if res is None else res.rank
-    if k == 0:
-        return None
-    if k == g.m:
+    if ceiling == g.m:
         rows = None
-    elif k == count_rank(g, space.d):
+    elif ceiling == count_rank(g, space.d):
         rows = count_basis(g, space.d)
-    else:  # the ceiling is the target rank, below |B| (q = 2 only)
+    else:
+        return None
+    if not ceiling or not _normal_entries(g, p, space.q):
         return None
     b = a if rows is None else a[list(rows)]
     gram = b @ b.T
-    # The computed trace, a sum of k nonnegative terms, is within gamma_k.
-    trace = float(np.trace(gram)) / (1.0 - _gamma(k))
-    s = _shift(k, a.shape[1], space.d, g.max_degree(), space.q, trace, rel_tol)
-    if res is not None and not res.smallest_kept**2 > s:
-        return None
-    if not _normal_entries(g, p, space.q):
-        return None
-    return gram, s
+    # The computed trace, a sum of |B| nonnegative terms, is within gamma_|B|.
+    trace = float(np.trace(gram)) / (1.0 - _gamma(ceiling))
+    return gram, _shift(g, space, ceiling, trace, rel_tol)
 
 
 def _positive_definite(gram: np.ndarray, s: float) -> bool:
@@ -355,22 +339,21 @@ def max_rank_sample(
 
     Trial i draws from its own generator seeded by (seed, i), so results are
     identical regardless of evaluation order and extending the trial count
-    only appends new samples.  Sampling stops at the first trial that
-    reaches min(|E|, target rank, count rank) and is certified (see
-    `_basis_gram`), or else at the second trial that reaches it: no trial
-    exceeds that ceiling, so `trial_ranks` is then a prefix of the full
-    run's, and the rank, cutoff and witness are the full run's.  The count
-    rank is computed only once a trial falls short of min(|E|, target rank)
-    or needs a count basis.
+    only appends new samples.  Each trial first tries the certificate of
+    `_basis_gram` on the count basis of the ceiling, min(|E|, target rank)
+    until one fails and min(|E|, target rank, count rank) after: the count
+    rank is computed only then, or when a target rank below |E| needs a
+    count basis.  If a failure lowers the ceiling, the same placement tries
+    again.  A pass gives the trial the ceiling as its rank, proved, and
+    ends sampling; otherwise the trial takes its SVD.  Sampling also stops
+    at the second trial that reaches the ceiling: no trial exceeds it, so
+    `trial_ranks` is then a prefix of the full run's, and the rank, cutoff
+    and witness are the full run's.
 
-    While that ceiling is |E|, the first trial tries the certificate on all
-    rows before its SVD; a pass ends sampling with rank |E|, and the
-    witness's SVD waits until the verdict's cutoff is read.  If it fails,
-    the trial's matrix is built again and takes its SVD; the same rows are
-    not tried twice.  Every other trial takes its SVD, then the
-    certificate when it reaches the ceiling.  Each trial's matrix is
-    equilibrated in place and dropped before the Cholesky and the next
-    draw.
+    Each trial's matrix is equilibrated in place and dropped before the
+    Cholesky, and built again from the placement when the certificate
+    fails.  A witness certified with no SVD takes its SVD only when the
+    verdict's cutoff is first read.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -379,34 +362,28 @@ def max_rank_sample(
     target = space.target_rank(g.n)
     ceiling = min(g.m, target)
     ranks: list[int] = []
-    top: Optional[RankResult] = None
     for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        p, matrix = _sample(g, space, rng)
-        first = i == 0 and ceiling == g.m
-        if first:
+        p, matrix = _sample(g, space, np.random.default_rng([seed, i]))
+        while True:
             _equilibrate(matrix.entries)
-            gram = _basis_gram(g, space, p, matrix.entries, None, rel_tol)
+            gram = _basis_gram(g, space, p, matrix.entries, ceiling, rel_tol)
             del matrix  # freed before the Cholesky, for peak memory
             certified = gram is not None and _positive_definite(*gram)
             del gram
             if certified:
-                ranks.append(g.m)
-                witness = p
+                res = None
                 break
             matrix = rigidity_matrix(g, p, space)
-        res = numerical_rank(matrix, rel_tol, overwrite=True)
-        if not ranks or res.rank > max(ranks):
+            lowered = min(ceiling, count_rank(g, space.d))
+            if lowered == ceiling:
+                res = numerical_rank(matrix, rel_tol, overwrite=True)
+                del matrix  # freed before the next draw
+                break
+            ceiling = lowered
+        rank = ceiling if res is None else res.rank
+        if not ranks or rank > max(ranks):
             top, witness = res, p
-        ranks.append(res.rank)
-        if res.rank < ceiling:
-            ceiling = min(ceiling, count_rank(g, space.d))
-        # The first trial's rows at rank |E| have failed already.
-        basis = res.rank == ceiling and not (first and res.rank == g.m)
-        gram = _basis_gram(g, space, p, matrix.entries, res, rel_tol) if basis else None
-        del matrix  # freed before the Cholesky and the next draw, for peak memory
-        certified = gram is not None and _positive_definite(*gram)
-        del gram
+        ranks.append(rank)
         if certified or sum(r >= ceiling for r in ranks) == 2:
             break
 

@@ -252,6 +252,15 @@ class TestOp:
         assert main([*argv, "--params", json.dumps({"v": v})]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_reduce1_invalid_record_exit_2(self, tmp_path, capsys):
+        # Vertex 0 has degree 4, not 3, and the pair holds vertex 0 itself.
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(henneberg_generate(2, 8, 0)[0].to_json_dict()))
+        argv = ["op", "--graph", str(gfile), "--kind", "reduce1", "-d", "2"]
+        assert main([*argv, "--params", json.dumps({"v": 0, "added": [0, 5]})]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "degree" in captured.err
+
     def test_unread_flag_exit_2(self, wheel_file, capsys):
         # cone takes no dimension, and only subst reads a second graph
         argvs = [

@@ -237,6 +237,24 @@ class TestOneReduction:
         with pytest.raises(ValueError, match="degree"):
             one_reduction_search(wheel_graph(5), 0, d=2)  # center has degree 4
 
+    def test_recorded_pair_checked(self):
+        # A record's pair is applied, not searched, so it is checked: v
+        # needs degree d+1 and the pair two distinct, non-adjacent
+        # neighbours of v.
+        g, apply = wheel_graph(5), OPERATIONS["reduce1"].apply
+        assert sorted(g.neighbors(1)) == [0, 2, 4]
+        assert apply(g, {"v": 1, "added": [2, 4], "d": 2})[0].n == 4
+        bad = [
+            (0, [1, 3], "degree"),
+            (1, [1, 2], "neighbours"),
+            (1, [2, 2], "neighbours"),
+            (1, [2, 3], "neighbours"),
+            (1, [0, 2], "already an edge"),
+        ]
+        for v, added, message in bad:
+            with pytest.raises(ValueError, match=message):
+                apply(g, {"v": v, "added": added, "d": 2})
+
     @pytest.mark.parametrize("v", [-1, -12, 12, 13])
     def test_vertex_out_of_range(self, v):
         g, _ = henneberg_generate(3, 12, 0)

@@ -32,7 +32,7 @@ from lqrig.rank import (
     verdict,
 )
 
-from bruteforce import all_graphs, brute_count_rank, exact_rank
+from bruteforce import BRUTE_CAP, all_graphs, brute_count_rank, exact_rank
 
 
 def octahedron() -> Graph:
@@ -50,13 +50,20 @@ def k4_plus_isolated() -> Graph:
     return Graph(5, complete_graph(4).edges)
 
 
+def certificate(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
+    """Whether the certificate of `max_rank_sample` passes at p, taken as
+    the loop takes it, before any SVD."""
+    m = rigidity_matrix(g, p, space)
+    _equilibrate(m.entries)
+    gram = _basis_gram(g, space, p, m.entries, ceiling, rel_tol)
+    return gram is not None and _positive_definite(*gram)
+
+
 def certifies(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
     """Whether the trial at p reaches the ceiling and is certified, its SVD
     taken first."""
-    m = rigidity_matrix(g, p, space)
-    res = numerical_rank(m, rel_tol, overwrite=True)
-    gram = _basis_gram(g, space, p, m.entries, res, rel_tol) if res.rank >= ceiling else None
-    return gram is not None and _positive_definite(*gram)
+    res = numerical_rank(rigidity_matrix(g, p, space), rel_tol)
+    return res.rank >= ceiling and certificate(g, space, p, ceiling, rel_tol)
 
 
 def reference_trials(g, space, trials, seed, rel_tol=DEFAULT_REL_TOL):
@@ -64,8 +71,10 @@ def reference_trials(g, space, trials, seed, rel_tol=DEFAULT_REL_TOL):
     loop; the number of trials up to the first that reaches min(|E|, target
     rank, count rank), the count rank found by brute force, and is
     certified, or else up to the second that reaches it; and whether a
-    certificate ended the run."""
-    ceiling = min(g.m, space.target_rank(g.n), brute_count_rank(g, space.d))
+    certificate ended the run.  Above the brute-force cap the count rank is
+    `graphs.count_rank`'s."""
+    count = brute_count_rank(g, space.d) if g.n <= BRUTE_CAP else count_rank(g, space.d)
+    ceiling = min(g.m, space.target_rank(g.n), count)
     out, cut, certified = [], None, False
     for i in range(trials):
         p = sample_placement(g, space, np.random.default_rng([seed, i]))
@@ -174,9 +183,9 @@ def test_power_of_two_row_scaling_is_invisible(data):
     )
 )
 def test_equilibrate_is_idempotent(a):
-    # A certificate equilibrates the first trial's matrix before its SVD;
-    # when it fails, `numerical_rank` equilibrates a fresh copy, which must
-    # give the same bits a second pass over the first would.
+    # A certificate equilibrates a trial's matrix before its SVD; when it
+    # fails, `numerical_rank` equilibrates a fresh copy, which must give
+    # the same bits a second pass over the first would.
     once = a.copy()
     _equilibrate(once)
     twice = once.copy()
@@ -215,15 +224,35 @@ class TestMaxRankSample:
         assert res.to_json_dict()["tolerance_used"] == witness.tolerance_used
         assert counter.calls == 2  # the reference above, and no second read
 
-    def test_uncertified_first_trial_takes_one_svd(self, monkeypatch):
-        # K5 in l_q^2 has |E| = 10 above the target rank 8, so the first
-        # trial takes its SVD; the verdict keeps that trial's result.
+    def test_certified_on_all_rows_plays_no_pebble_game(self):
+        # The count rank is computed only once a certificate fails.
+        g = wheel_graph(5)
+        assert max_rank_sample(g, LqSpace(2, 3.0), seed=0).certified
+        assert g._games == {}
+
+    @pytest.mark.parametrize(
+        "case, svds",
+        [
+            # K5 in l_q^2: |E| = 10 above the target rank 8, certified on
+            # the rows of its count basis.
+            ((complete_graph(5), LqSpace(2, 1.5), 0), 0),
+            # Fails on all 10 rows, then passes on its count basis of 8.
+            ((k5_plus_isolated(), LqSpace(2, 1.5), 6), 0),
+            # The graphs of the two high-q tests below.
+            ((henneberg_generate(3, 10, 1016164991)[0], LqSpace(3, 10.0), 1667914287), 1),
+            ((henneberg_generate(3, 30, 629145196)[0], LqSpace(3, 10.0), 904496091), 3),
+        ],
+        ids=["k5", "k5_plus_isolated", "henneberg10", "henneberg30"],
+    )
+    def test_one_svd_per_uncertified_trial(self, case, svds, monkeypatch):
+        # A trial takes its SVD only when its certificate fails, and the
+        # verdict's cutoff takes at most the witness's.
+        g, space, seed = case
         counter = SvdCounter(monkeypatch)
-        res = max_rank_sample(complete_graph(5), LqSpace(2, 1.5), seed=0)
-        calls = counter.calls
-        assert calls == len(res.trial_ranks)
+        res = max_rank_sample(g, space, seed=seed)
+        assert counter.calls == len(res.trial_ranks) - res.certified == svds
         res.to_json_dict()
-        assert counter.calls == calls
+        assert counter.calls - svds <= 1
 
     def test_wheel_rank_8(self):
         res = max_rank_sample(wheel_graph(5), LqSpace(2, 3.0), seed=0)
@@ -305,9 +334,10 @@ class TestMaxRankSample:
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 8])
     def test_matches_reference_loop(self, trials):
-        # The reference takes every SVD before its certificate, so a first
-        # trial certified before its SVD must be one that the SVD at the
-        # same placement keeps at full rank, at every rel_tol.
+        # The reference takes every SVD before its certificate, so a trial
+        # certified before its SVD must be one that the SVD at the same
+        # placement keeps at the ceiling, at every rel_tol.  K7 at d = 1 has
+        # |E| = 21 rows far above its count basis of 6 edges.
         cases = [
             (wheel_graph(5), LqSpace(2, 3.0)),
             (complete_graph(5), LqSpace(3, 1.5)),
@@ -315,6 +345,7 @@ class TestMaxRankSample:
             (path_graph(3), LqSpace(2, 2.5)),
             (complete_graph(3), LqSpace(2, 2.0)),
             (k5_plus_isolated(), LqSpace(2, 6.0)),
+            (complete_graph(7), LqSpace(1, 3.0)),
         ]
         for (g, space), seed, rel_tol in product(cases, (0, 7), (DEFAULT_REL_TOL, 1e-6, 1e-3)):
             ref, cut, certified = reference_trials(g, space, trials, seed, rel_tol)
@@ -361,7 +392,7 @@ class TestCertificate:
         # same; the shift, even at its smallest trace and with no cutoff
         # term (rel_tol 0), must refuse them.
         g, space = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), LqSpace(1, 3.0)
-        s = _shift(5, 5, 1, 2, space.q, 5 / 4, 0.0)
+        s = _shift(g, space, 5, 5 / 4, 0.0)
         passed = 0
         for seed in range(100):
             _, m = _sample(g, space, np.random.default_rng(seed))
@@ -379,15 +410,16 @@ class TestCertificate:
         p = Placement(2, [[0.0, 0.0], [2.0**-150, 0.5], [-0.5, 0.25]])
         assert _normal_entries(g, p, 3.0) and not _normal_entries(g, p, 10.0)
         m = rigidity_matrix(g, p, LqSpace(2, 10.0))
-        res = numerical_rank(m, overwrite=True)
-        assert res.rank == 3
-        assert _basis_gram(g, LqSpace(2, 10.0), p, m.entries, res, DEFAULT_REL_TOL) is None
+        assert numerical_rank(m, overwrite=True).rank == 3
+        # The ceiling |E| = 3 has a count basis: only the guard refuses.
+        assert _basis_gram(g, LqSpace(2, 10.0), p, m.entries, 3, DEFAULT_REL_TOL) is None
 
     def test_sound_on_small_graphs(self):
         # At q = 3 an entry sgn(x) x^2 is exact in Fractions of the float
-        # coordinates, so each certified basis can be checked for full rank.
-        # Graphs of every class up to 6 vertices, d = 1-3: many are
-        # dependent, and their certificates run on a greedy count basis.
+        # coordinates, so each basis certified before any SVD, as the loop
+        # takes it, can be checked for full rank.  Graphs of every class up
+        # to 6 vertices, d = 1-3: many are dependent, and their certificates
+        # run on a greedy count basis.
         certified = Counter()
         for n in range(2, 7):
             for g in all_graphs(n):
@@ -395,7 +427,7 @@ class TestCertificate:
                     space = LqSpace(d, 3.0)
                     p = sample_placement(g, space, np.random.default_rng([n, d, g.m]))
                     ceiling = min(g.m, space.target_rank(n), count_rank(g, d))
-                    if not certifies(g, space, p, ceiling):
+                    if not certificate(g, space, p, ceiling):
                         continue
                     rows = range(g.m) if ceiling == g.m else count_basis(g, d)
                     exact = [exact_row(g, p, d, g.edges[i]) for i in rows]
