@@ -3,22 +3,32 @@
 Vertices are the indices 0..n-1; an edge is an unordered pair of distinct
 indices.  Graphs are immutable: all "mutating" operations return new graphs.
 Named vertices, if any, live in the I/O layer.
+
+A graph built from an edge list sorts its edges at once.  A graph derived
+from another (`with_edge`, `with_vertex`, the operations of `operations`)
+keeps only the neighbour sets and the edge count: deriving it costs one
+C-level copy of the parent's tuple of neighbour sets plus time in the
+number of edges added or removed, and its sorted `edges` tuple is built
+on first read and kept.
 """
 
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1."""
+    """Immutable simple graph on vertices 0..n-1.
 
-    __slots__ = ("n", "_edges", "_adj", "_games", "_ends")
+    The neighbour sets and the edge count are the graph; `edges`, the
+    canonical form that equality, hashing, pickling and JSON read, is
+    sorted when built from an edge list and on first read when derived.
+    """
+
+    __slots__ = ("n", "_m", "_edges", "_adj", "_games", "_ends")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -37,8 +47,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        # Sorted once: the canonical form that equality, hashing and every
-        # reader of `edges` share.
+        self._m = len(normalized)
         self._edges = tuple(sorted(normalized))
         self._adj = tuple(frozenset(s) for s in adj)
         # (game, accepted edge indices) by count; see `_loaded`.
@@ -50,11 +59,16 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return self._m
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges as (u, v) with u < v, sorted lexicographically."""
+        """Edges as (u, v) with u < v, sorted lexicographically; a derived
+        graph sorts them on first read and keeps them."""
+        if self._edges is None:
+            self._edges = tuple(
+                sorted([(u, w) for u, nbrs in enumerate(self._adj) for w in nbrs if u < w])
+            )
         return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -75,7 +89,7 @@ class Graph:
     def induced_count(self, vertices: Iterable[int]) -> int:
         """Number of edges with both endpoints in `vertices` (i(U))."""
         vs = set(vertices)
-        return sum(1 for u, v in self._edges if u in vs and v in vs)
+        return sum(1 for u, v in self.edges if u in vs and v in vs)
 
     def cross_count(self, us: Iterable[int], ws: Iterable[int]) -> int:
         """Number of edges between U\\W and W\\U (d(U, W))."""
@@ -84,7 +98,7 @@ class Graph:
         uonly, wonly = uonly - wonly, wonly - uonly
         return sum(
             1
-            for u, v in self._edges
+            for u, v in self.edges
             if (u in uonly and v in wonly) or (v in uonly and u in wonly)
         )
 
@@ -114,41 +128,47 @@ class Graph:
         self, n: int, added: Iterable[tuple[int, int]], removed: Iterable[tuple[int, int]] = ()
     ) -> "Graph":
         """This graph on n >= self.n vertices less `removed` (which must be
-        edges) plus `added`.  Only the new edges are checked, with the errors
-        of `__init__`, and only the touched vertices' neighbour sets rebuilt."""
-        edges = list(self._edges)
-        adj = list(self._adj) + [frozenset()] * (n - self.n)
-        gone, new = defaultdict(set), defaultdict(set)
+        edges) plus `added`.  Only these edges are checked, against the
+        neighbour sets and with the errors of `__init__`, and only the
+        touched vertices' neighbour sets rebuilt; `edges` waits for a read."""
+        adj = list(self._adj)
+        adj += [frozenset()] * (n - self.n)
+        m = self._m
+        touched: dict[int, set[int]] = {}
+
+        def nbrs(u: int) -> set[int]:
+            if u not in touched:
+                touched[u] = set(adj[u])
+            return touched[u]
+
         for u, v in removed:
-            e = (u, v) if u < v else (v, u)
-            i = bisect_left(edges, e)
-            if i == len(edges) or edges[i] != e:
-                raise ValueError(f"{e} is not an edge")
-            del edges[i]
-            gone[u].add(v)
-            gone[v].add(u)
+            if not (0 <= u < n and 0 <= v < n) or v not in nbrs(u):
+                raise ValueError(f"{(u, v) if u < v else (v, u)} is not an edge")
+            nbrs(u).remove(v)
+            nbrs(v).remove(u)
+            m -= 1
         for u, v in added:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            i = bisect_left(edges, e)
-            if i < len(edges) and edges[i] == e:
-                raise ValueError(f"duplicate edge {e}")
-            edges.insert(i, e)
-            new[u].add(v)
-            new[v].add(u)
-        for u in gone.keys() | new.keys():
-            adj[u] = adj[u] - gone[u] | new[u]
+            if v in nbrs(u):
+                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+            nbrs(u).add(v)
+            nbrs(v).add(u)
+            m += 1
+        for u, s in touched.items():
+            adj[u] = frozenset(s)
         out = Graph.__new__(Graph)
-        out.n, out._edges, out._adj = n, tuple(edges), tuple(adj)
+        out.n, out._m, out._edges, out._adj = n, m, None, tuple(adj)
         out._games, out._ends = {}, None
         return out
 
     def without_edges_at(self, v: int) -> "Graph":
         """Same vertex set with v isolated."""
-        return Graph(self.n, [e for e in self._edges if v not in e])
+        if not (0 <= v < self.n):
+            raise ValueError(f"vertex {v} out of range")
+        return self._derive(self.n, (), [(v, w) for w in self._adj[v]])
 
     def delete_vertex(self, v: int) -> "Graph":
         """Remove v; indices above v shift down by one."""
@@ -158,7 +178,7 @@ class Graph:
         def remap(u: int) -> int:
             return u - 1 if u > v else u
 
-        kept = [(remap(a), remap(b)) for a, b in self._edges if v not in (a, b)]
+        kept = [(remap(a), remap(b)) for a, b in self.edges if v not in (a, b)]
         return Graph(self.n - 1, kept)
 
     # -- misc --------------------------------------------------------------
@@ -167,14 +187,15 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._edges == other._edges
+            and self._m == other._m
+            and self.edges == other.edges
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash((self.n, self.edges))
 
     def __reduce__(self):
-        return Graph, (self.n, self._edges)
+        return Graph, (self.n, self.edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

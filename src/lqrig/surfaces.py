@@ -6,12 +6,19 @@ representation covers orientable and non-orientable closed surfaces with
 one code path, and the topological vertex split is a local face-list edit.
 Sphere triangulations satisfy |E| = 3|V| - 6, projective-plane ones
 |E| = 3|V| - 3.
+
+Each triangulation keeps, per vertex, the positions of the faces at it.
+The index is built once from a face list (`from_faces`, `base_complex`)
+and handed on by each split, so `link_cycle` reads only the faces at its
+vertex and a split costs time in the degree of the split vertex plus
+C-level copies of the face list, the index and the graph's neighbour sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations
+from bisect import bisect_right
+from dataclasses import InitVar, dataclass, field, replace
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,9 +69,26 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class SurfaceTriangulation:
+    """A face list over a graph on one surface.  `faces_at[v]` lists the
+    positions in `faces` of the faces at v in ascending order; it is built
+    from the faces unless given, and is left out of equality, hashing,
+    repr and JSON."""
+
     graph: Graph
     faces: tuple[tuple[int, int, int], ...]
     surface: str
+    at: InitVar[Optional[tuple[tuple[int, ...], ...]]] = None
+    faces_at: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, at: Optional[tuple[tuple[int, ...], ...]]) -> None:
+        if at is None:
+            index: list[list[int]] = [[] for _ in range(self.graph.n)]
+            for i, f in enumerate(self.faces):
+                for x in set(f):
+                    if 0 <= x < self.graph.n:
+                        index[x].append(i)
+            at = tuple(map(tuple, index))
+        object.__setattr__(self, "faces_at", at)
 
     @property
     def n(self) -> int:
@@ -115,8 +139,10 @@ def base_complex(kind: str) -> SurfaceTriangulation:
 
 
 def link_cycle(t: SurfaceTriangulation, v: int) -> list[int]:
-    """Neighbours of v in the cyclic order induced by the faces at v."""
-    pairs = [tuple(x for x in f if x != v) for f in t.faces if v in f]
+    """Neighbours of v in the cyclic order induced by the faces at v, read
+    in face-list order from `faces_at`."""
+    at = t.faces_at[v] if 0 <= v < t.n else ()
+    pairs = [tuple(x for x in t.faces[i] if x != v) for i in at]
     if not pairs:
         raise ValueError(f"vertex {v} lies on no face")
     adj: dict[int, list[int]] = {}
@@ -217,18 +243,28 @@ def topological_vertex_split(
         for i in range(size)
     }
 
-    faces: list[tuple[int, int, int]] = []
-    for f in t.faces:
-        if v not in f:
-            faces.append(f)
-            continue
-        x, y = (z for z in f if z != v)
-        faces.append(tuple(sorted((owner_of[frozenset((x, y))], x, y))))
+    # Only the faces at v change, in place; the two new faces go last, so
+    # every position list stays ascending.
+    faces = list(t.faces)
+    kept, moved = [], []
+    for i in t.faces_at[v]:
+        x, y = (z for z in faces[i] if z != v)
+        if owner_of[frozenset((x, y))] == v:
+            kept.append(i)
+        else:
+            faces[i] = tuple(sorted((w0, x, y)))
+            moved.append(i)
+    new = len(faces)
     faces.append(tuple(sorted((v, w0, a))))
     faces.append(tuple(sorted((v, w0, b))))
+    at = list(t.faces_at)
+    at[v] = (*kept, new, new + 1)
+    at[a] += (new,)
+    at[b] += (new + 1,)
+    at.append((*moved, new, new + 1))
 
     graph, rec = vertex_split(t.graph, v, (a, b), cyc[ib + 1 :], 3)
-    out = SurfaceTriangulation(graph, tuple(faces), t.surface)
+    out = SurfaceTriangulation(graph, tuple(faces), t.surface, tuple(at))
     return out, replace(rec, params={**rec.params, "a": a, "b": b})
 
 
@@ -242,8 +278,11 @@ def generate_triangulation(
     topological vertex splits; deterministic per seed.  Each step draws an
     index into the candidate splits (v, a, b), a and b distinct on the link
     of v, ordered by v, then a, then b in link-cycle order; `_split_at`
-    finds the drawn one without listing them.  Each split's graph comes
-    from the d = 3 `operations.vertex_split`."""
+    finds the drawn one without listing them.  Vertex v has deg(v)
+    (deg(v) - 1) candidates, as its link holds deg(v) vertices; these
+    weights are kept across steps and updated where a split changes a
+    degree: at v, a, b and the new vertex.  Each split's graph comes from
+    the d = 3 `operations.vertex_split`."""
     if base is None:
         base = "K4" if surface == SPHERE else "K6"
     t = base_complex(base)
@@ -253,24 +292,28 @@ def generate_triangulation(
         raise ValueError(f"target {n} below base size {t.n}")
     rng = np.random.default_rng(seed)
     records: list[OpRecord] = []
+    weights = [deg * (deg - 1) for deg in map(t.graph.degree, range(t.n))]
     while t.n < n:
-        count = sum(deg * (deg - 1) for deg in map(t.graph.degree, range(t.n)))
-        t, rec = topological_vertex_split(t, *_split_at(t, int(rng.integers(count))))
+        cum = list(accumulate(weights))
+        v, a, b = _split_at(t, int(rng.integers(cum[-1])), cum)
+        t, rec = topological_vertex_split(t, v, a, b)
         records.append(rec)
+        weights.append(0)
+        for x in (v, a, b, t.n - 1):
+            deg = t.graph.degree(x)
+            weights[x] = deg * (deg - 1)
     return t, records
 
 
-def _split_at(t: SurfaceTriangulation, k: int) -> tuple[int, int, int]:
+def _split_at(t: SurfaceTriangulation, k: int, cum: Sequence[int]) -> tuple[int, int, int]:
     """The k-th candidate split in the order of `generate_triangulation`,
-    from the degrees and one link cycle: vertex v has deg(v) (deg(v) - 1)
-    candidates, as its link holds deg(v) vertices."""
-    for v in range(t.n):
-        deg = t.graph.degree(v)
-        if k < deg * (deg - 1):
-            break
-        k -= deg * (deg - 1)
+    from `cum`, the running sums of deg(v) (deg(v) - 1) over the vertices,
+    and one link cycle."""
+    v = bisect_right(cum, k)
+    if v:
+        k -= cum[v - 1]
     cycle = link_cycle(t, v)
-    i, j = divmod(k, deg - 1)
+    i, j = divmod(k, len(cycle) - 1)
     return v, cycle[i], cycle[j + (j >= i)]
 
 

@@ -1,8 +1,11 @@
 import json
+import pickle
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqrig.geometry import LqSpace
 from lqrig.graphs import (
@@ -35,6 +38,7 @@ from lqrig.rank import verdict
 from lqrig.surfaces import (
     PROJECTIVE_PLANE,
     SPHERE,
+    SurfaceTriangulation,
     base_complex,
     from_faces,
     generate_triangulation,
@@ -522,8 +526,113 @@ class TestDerivedGraphs:
             g.with_vertex(),
             Graph(0).with_vertex(),
             Graph(2).with_edge(1, 0),
+            g.without_edges_at(0),
+            g.without_edges_at(3),
+            g.with_vertex([0]).without_edges_at(5),
         ):
             assert_fresh(out)
+        assert g.without_edges_at(0) == Graph(g.n, [e for e in g.edges if 0 not in e])
+        with pytest.raises(ValueError, match="out of range"):
+            g.without_edges_at(5)
+
+    def test_read_order(self):
+        # m, equality, hashing and pickling of a derived graph whose sorted
+        # edges were never read
+        g = wheel_graph(5)
+        fresh = Graph(6, [*g.edges, (1, 3), (0, 5), (2, 5)])
+        for read in ("m", "eq", "hash", "pickle"):
+            out = g.with_edge(3, 1).with_vertex([2, 0])
+            assert out._edges is None
+            if read == "m":
+                assert out.m == fresh.m == 11
+            elif read == "eq":
+                assert out == fresh and fresh == out
+                assert out != g.with_edge(3, 1).with_vertex([2, 4])
+            elif read == "hash":
+                assert hash(out) == hash(fresh)
+            else:
+                back = pickle.loads(pickle.dumps(out))
+                assert back == fresh and back.edges == fresh.edges
+            assert_fresh(out)
+
+    def test_removed_then_added(self):
+        g = wheel_graph(5)
+        out = g._derive(g.n, [(2, 1)], [(1, 2)])
+        assert out == g and out.m == g.m
+        assert_fresh(out)
+        out = g._derive(g.n + 1, [(5, 2), (1, 2)], [(2, 1), (0, 2)])
+        assert out == Graph(6, [e for e in g.edges if e != (0, 2)] + [(2, 5)])
+        assert_fresh(out)
+
+    def test_removed_edges_checked(self):
+        g = wheel_graph(5)
+        for removed in ([(1, 3)], [(2, 2)], [(0, 5)], [(-1, 4)], [(1, 2), (2, 1)],
+                        [(0, 1), (0, 1)]):
+            with pytest.raises(ValueError, match="is not an edge"):
+                g._derive(g.n + 1, [], removed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_steps(self, data):
+        # Steps on graphs whose sorted edges are never read until the end,
+        # against an edge set kept beside them.
+        n = data.draw(st.integers(2, 6))
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, data.draw(st.sets(st.sampled_from(pairs))))
+        model = set(g.edges)
+        made = []
+        for step in data.draw(st.lists(st.sampled_from(["edge", "vertex", "ext1", "vsplit"]),
+                                       max_size=12)):
+            n = g.n
+            if step == "edge":
+                free = [e for e in combinations(range(n), 2) if not g.has_edge(*e)]
+                if not free:
+                    continue
+                u, v = data.draw(st.sampled_from(free))
+                g = g.with_edge(v, u)
+                model.add((u, v))
+            elif step == "vertex":
+                nbrs = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+                g = g.with_vertex(nbrs)
+                model |= {(w, n) for w in nbrs}
+            elif step == "ext1":
+                ends = [(u, v) for u in range(n) for v in sorted(g.neighbors(u)) if u < v]
+                if not ends:
+                    continue
+                x, y = data.draw(st.sampled_from(ends))
+                others = data.draw(st.lists(
+                    st.sampled_from([w for w in range(n) if w not in (x, y)] or [x]),
+                    unique=True, max_size=2,
+                ))
+                nbrs = [x, y] + [w for w in others if w not in (x, y)]
+                g, _ = one_extension(g, nbrs, (y, x), len(nbrs) - 1)
+                model = (model - {(x, y)}) | {(w, n) for w in nbrs}
+            else:
+                v0 = data.draw(st.integers(0, n - 1))
+                nb = sorted(g.neighbors(v0))
+                d = data.draw(st.integers(1, len(nb) + 1))
+                shared = nb[: d - 1]
+                moved = data.draw(st.lists(st.sampled_from(nb[d - 1 :] or [v0]), unique=True))
+                moved = [w for w in moved if w != v0]
+                g, _ = vertex_split(g, v0, shared, moved, d)
+                model = (model - {(min(v0, w), max(v0, w)) for w in moved}) | {
+                    (w, n) for w in shared + moved + [v0]
+                }
+            assert g._edges is None and g.m == len(model)
+            made.append((g, set(model)))
+        for out, edges in made:
+            assert set(out.edges) == edges
+            assert_fresh(out)
+
+    def test_triangulation_index_ignored(self):
+        # equality, hashing, repr and JSON leave out the face index
+        t, _ = generate_triangulation(PROJECTIVE_PLANE, 12, seed=4)
+        bogus = SurfaceTriangulation(t.graph, t.faces, t.surface, ((),) * t.n)
+        assert bogus.faces_at != t.faces_at
+        assert bogus == t and hash(bogus) == hash(t)
+        assert repr(bogus) == repr(t) and bogus.to_json_dict() == t.to_json_dict()
+        assert t == from_faces(t.surface, t.n, t.faces)
+        assert t.faces_at == from_faces(t.surface, t.n, t.faces).faces_at
 
     def test_new_edges_checked(self):
         g = wheel_graph(5)

@@ -1,5 +1,6 @@
-from itertools import combinations
+from itertools import accumulate, combinations
 
+import numpy as np
 import pytest
 
 from lqrig.graphs import Graph, complete_graph
@@ -20,12 +21,30 @@ from lqrig.surfaces import (
 
 
 
+def reference_link(t: SurfaceTriangulation, v: int) -> list[int]:
+    """`link_cycle` from a scan of every face, with no face index: the
+    faces at v in face-list order, walked from the least neighbour."""
+    pairs = [tuple(x for x in f if x != v) for f in t.faces if v in f]
+    adj: dict[int, list[int]] = {}
+    for a, b in pairs:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    cycle, prev = [min(adj)], None
+    while True:
+        a, b = adj[cycle[-1]]
+        nxt = b if a == prev else a
+        if nxt == cycle[0]:
+            return cycle
+        prev = cycle[-1]
+        cycle.append(nxt)
+
+
 def split_candidates(t: SurfaceTriangulation) -> list[tuple[int, int, int]]:
     """All (v, a, b) with a, b distinct on the link of v, in the order whose
     index `generate_triangulation` draws: the reference for `_split_at`."""
     out = []
     for v in range(t.n):
-        cycle = link_cycle(t, v)
+        cycle = reference_link(t, v)
         for a in cycle:
             for b in cycle:
                 if a != b:
@@ -195,9 +214,9 @@ class TestSplit:
         # the generator draws an index into this order without listing it
         for t in small_complexes():
             cands = split_candidates(t)
-            degrees = [t.graph.degree(v) for v in range(t.n)]
-            assert sum(k * (k - 1) for k in degrees) == len(cands)
-            assert [_split_at(t, k) for k in range(len(cands))] == cands
+            cum = list(accumulate(k * (k - 1) for k in map(t.graph.degree, range(t.n))))
+            assert cum[-1] == len(cands)
+            assert [_split_at(t, k, cum) for k in range(len(cands))] == cands
 
 
 class TestValidateNegatives:
@@ -299,6 +318,30 @@ class TestGeneration:
                 for i, (v, a, b, moved) in enumerate(splits)
             ]
             assert replay_splits(start, log) == t
+
+    @pytest.mark.parametrize("surface, base", [
+        (SPHERE, "K4"), (PROJECTIVE_PLANE, "K6"), (PROJECTIVE_PLANE, "K7_minus_K3"),
+    ])
+    def test_reference_draws(self, surface, base):
+        # The generator's draws equal an index into the listed candidates,
+        # drawn from the same stream, over enough splits that a stale split
+        # weight or face index would show; links equal a scan of all faces.
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            t, log = base_complex(base), []
+            while t.n < 40:
+                cands = split_candidates(t)
+                t, rec = topological_vertex_split(t, *cands[int(rng.integers(len(cands)))])
+                log.append(rec)
+            made, made_log = generate_triangulation(surface, 40, seed, base=base)
+            assert made.faces == t.faces
+            assert [r.to_json_dict() for r in made_log] == [r.to_json_dict() for r in log]
+            replayed = replay_splits(base_complex(base), made_log)
+            for u in (t, made, replayed):
+                assert validate(u)
+                assert [link_cycle(u, v) for v in range(u.n)] == [
+                    reference_link(u, v) for v in range(u.n)
+                ]
 
     def test_base_surface_mismatch(self):
         with pytest.raises(ValueError, match="complex"):
