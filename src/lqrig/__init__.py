@@ -45,6 +45,7 @@ from .rank import (
     Verdict,
     cokernel_basis,
     max_rank_sample,
+    max_rank_samples,
     numerical_rank,
     sample_placement,
     verdict,

@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import DEFAULT_Q_GAP, IllPositionedError, LqSpace, Placement, rigidity_matrix
 from .graphs import Graph, SparsityParams, f_count, is_sparse
 from .operations import OPERATIONS, henneberg_generate, random_degree_bounded_sparse
-from .rank import DEFAULT_REL_TOL, DEFAULT_TRIALS, max_rank_sample, numerical_rank, verdict
+from .rank import DEFAULT_REL_TOL, DEFAULT_TRIALS, max_rank_samples, numerical_rank, verdict
 from . import oracles, surfaces
 
 
@@ -220,14 +220,17 @@ def run_scan(config: ScanConfig) -> dict:
     auto-classified as disproofs.
     """
     instances = _scan_instances(config)
+    cells = list(product(instances, config.q_list))
+    verdicts = max_rank_samples(
+        [(inst["graph"], LqSpace(config.d, q), inst["seed"]) for inst, q in cells],
+        config.trials,
+        config.rel_tol,
+    )
     predicted = 0
     marginal = 0
     candidates = []
-    for inst, q in product(instances, config.q_list):
+    for (inst, q), vd in zip(cells, verdicts):
         g = inst["graph"]
-        vd = max_rank_sample(
-            g, LqSpace(config.d, q), trials=config.trials, seed=inst["seed"], rel_tol=config.rel_tol
-        )
         if not vd.stable:
             marginal += 1
         elif vd.independent:

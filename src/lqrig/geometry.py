@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class Placement:
         arr = np.array(self.coords, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.d:
             raise ValueError(f"coords must have shape (n, {self.d})")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coordinates must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
@@ -83,7 +83,7 @@ class Placement:
 
     def offending_edge(self, g: Graph) -> Optional[tuple[int, int]]:
         """First edge (lexicographically) whose endpoints coincide, if any."""
-        return _edge_differences(g, self.coords)[3]
+        return _edge_differences(g, self.coords)[1]
 
     def well_positioned(self, g: Graph) -> bool:
         return self.offending_edge(g) is None
@@ -104,18 +104,27 @@ class Placement:
         return cls(d, np.array(coords, dtype=float).reshape(len(coords), d))
 
 
-def _edge_differences(g: Graph, coords: np.ndarray) -> tuple:
-    """Endpoint arrays v < w of g's edges in lexicographic order, the rows
-    p_v - p_w, and the first edge whose endpoints coincide (None if none).
-    The endpoint arrays are made once per graph and kept on it, read-only."""
+def _ends(g: Graph) -> np.ndarray:
+    """The 2 x |E| endpoint arrays v < w of g's edges in lexicographic
+    order, made once per graph and kept on it, read-only."""
     if g._ends is None:
         ends = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
         ends.setflags(write=False)
         g._ends = ends
-    v, w = g._ends
+    return g._ends
+
+
+def _edge_differences(
+    g: Graph, coords: np.ndarray
+) -> tuple[np.ndarray, Optional[tuple[int, int]]]:
+    """The rows p_v - p_w of g's edges vw, v < w, in lexicographic order,
+    and the first edge whose endpoints coincide (None if none)."""
+    v, w = _ends(g)
     diff = coords[v] - coords[w]
-    hit = np.flatnonzero(~diff.any(axis=1))
-    return v, w, diff, (g.edges[hit[0]] if hit.size else None)
+    apart = diff.any(axis=1)
+    if apart.all():
+        return diff, None
+    return diff, g.edges[int(np.argmin(apart))]
 
 
 def signed_pow(x: np.ndarray, s: float) -> np.ndarray:
@@ -161,14 +170,26 @@ def rigidity_matrix(
         raise ValueError(f"placement has {placement.n} points for {g.n} vertices")
     if placement.d != space.d:
         raise ValueError("placement dimension does not match the space")
-    d, q = space.d, space.q
-    v, w, diff, bad = _edge_differences(g, placement.coords)
+    q = space.q
+    diff, bad = _edge_differences(g, placement.coords)
     if bad is not None:
         raise IllPositionedError(bad)
     rows = signed_pow(diff, q - 1.0)
     if form == "standard":
         rows /= (np.sum(np.abs(diff) ** q, axis=1) ** (1.0 / q))[:, None] ** (q - 2.0)
-    m = np.zeros((g.m, g.n, d))
-    r = np.arange(g.m)
-    m[r, v], m[r, w] = rows, -rows
-    return RigidityMatrix(m.reshape(g.m, d * g.n), g.edges)
+    return RigidityMatrix(_place_rows([g], rows[None])[0], g.edges)
+
+
+def _place_rows(graphs: Sequence[Graph], rows: np.ndarray) -> np.ndarray:
+    """The k matrices whose row e carries rows[i, e] in the block of the
+    first endpoint of edge e of graphs[i] and its negation in the block of
+    the second: shape (k, |E|, d|V|), for k graphs that share |E| and |V|
+    and rows of shape (k, |E|, d)."""
+    k, m, d = rows.shape
+    n = graphs[0].n
+    out = np.zeros((k * m, n, d))
+    v, w = np.concatenate([_ends(g) for g in graphs], axis=1)
+    r = np.arange(k * m)
+    rows = rows.reshape(k * m, d)
+    out[r, v], out[r, w] = rows, -rows
+    return out.reshape(k, m, n * d)

@@ -334,18 +334,27 @@ def random_degree_bounded_sparse(d: int, n: int, seed: int) -> Graph:
             take = int(rng.integers(1, min(d, len(cand)) + 1))
             s = [int(x) for x in rng.choice(cand, size=take, replace=False)]
             g = g.with_vertex(s)
-        for _ in range(int(rng.integers(0, 2 * d + 1))):
+        draws = int(rng.integers(0, 2 * d + 1))
+        # The non-adjacent pairs below degree d+2, in lexicographic order:
+        # listed once, then kept up to date as edges are accepted.
+        open_pairs = []
+        if draws:
             open_pairs = [
                 (x, y)
                 for x, y in combinations(range(g.n), 2)
                 if not g.has_edge(x, y) and g.degree(x) < d + 2 and g.degree(y) < d + 2
             ]
+        for _ in range(draws):
             if not open_pairs:
                 break
             x, y = open_pairs[int(rng.integers(len(open_pairs)))]
             extended = with_addable_edge(g, d, x, y)
             if extended is not None and extended.min_degree() <= d + 1:
                 g = extended
+                full = {v for v in (x, y) if g.degree(v) >= d + 2}
+                open_pairs = [
+                    e for e in open_pairs if e != (x, y) and e[0] not in full and e[1] not in full
+                ]
         ok = (
             g.is_connected()
             and g.min_degree() <= d + 1

@@ -55,7 +55,7 @@ def witness_rank(doc: dict) -> int:
     return numerical_rank(rigidity_matrix(g, p, LqSpace(doc["d"], doc["q"]))).rank
 
 
-def flat_verdict(g, space, **kwargs):
+def flat_verdict(g, space):
     """A stable verdict at a placement in the plane z = 0, where a graph
     with more than 2|V| - 2 edges loses rank in d = 3."""
     rng = np.random.default_rng(g.m)
@@ -64,6 +64,11 @@ def flat_verdict(g, space, **kwargs):
     return Verdict(
         res.rank, g.m, space.target_rank(g.n), (res.rank, res.rank), p, False, lambda: res
     )
+
+
+def flat_verdicts(cells, *args):
+    """`flat_verdict` of each (graph, space, seed) cell."""
+    return [flat_verdict(g, space) for g, space, _ in cells]
 
 
 class TestAnalyze:
@@ -511,7 +516,7 @@ class TestScan:
             assert set(inst) == {"source", "n", "seed", "graph", "log"} | base
 
     def test_candidate_json_round_trip(self, monkeypatch):
-        monkeypatch.setattr(cli, "max_rank_sample", flat_verdict)
+        monkeypatch.setattr(cli, "max_rank_samples", flat_verdicts)
         config = ScanConfig(d=3, q_list=(3.0,), max_n=7, count=1, seed=2, sources=ALL_SOURCES)
         summary = json.loads(json.dumps(run_scan(config)))
         candidates = summary["candidates"]
@@ -530,7 +535,7 @@ class TestScan:
         assert "error:" in capsys.readouterr().err
 
     def test_surface_candidates_replay(self, monkeypatch):
-        monkeypatch.setattr(cli, "max_rank_sample", flat_verdict)
+        monkeypatch.setattr(cli, "max_rank_samples", flat_verdicts)
         summary = run_scan(
             ScanConfig(d=3, q_list=(3.0,), max_n=9, count=2, seed=1, sources=("projective",))
         )

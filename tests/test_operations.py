@@ -12,6 +12,7 @@ from lqrig.graphs import (
     Graph,
     SparsityParams,
     complete_graph,
+    edge_addable,
     f_count,
     is_sparse,
     is_tight,
@@ -409,6 +410,37 @@ def reference_count_sparse(params, n, seed):
     return Graph(n, accepted)
 
 
+def reference_degree_bounded(d, n, seed):
+    """`random_degree_bounded_sparse` as a loop that lists every open pair
+    before each edge draw."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        g = Graph(1)
+        while g.n < n:
+            cand = [v for v in range(g.n) if g.degree(v) < d + 2]
+            take = int(rng.integers(1, min(d, len(cand)) + 1))
+            g = g.with_vertex([int(x) for x in rng.choice(cand, size=take, replace=False)])
+        for _ in range(int(rng.integers(0, 2 * d + 1))):
+            open_pairs = [
+                (x, y)
+                for x, y in combinations(range(g.n), 2)
+                if not g.has_edge(x, y) and g.degree(x) < d + 2 and g.degree(y) < d + 2
+            ]
+            if not open_pairs:
+                break
+            x, y = open_pairs[int(rng.integers(len(open_pairs)))]
+            if edge_addable(g, d, x, y) and g.with_edge(x, y).min_degree() <= d + 1:
+                g = g.with_edge(x, y)
+        if (
+            g.is_connected()
+            and g.min_degree() <= d + 1
+            and g.max_degree() <= d + 2
+            and is_sparse(g, SparsityParams(d, d))
+        ):
+            return g
+    raise RuntimeError("failed to generate a degree-bounded sparse graph")
+
+
 class TestRandomGenerators:
     @pytest.mark.parametrize(
         "count", [(5, 7, 2), (3, 3, 1), (2, 3, 1), (2, 2, 2), (1, 1, 1)], ids=lambda c: "-".join(map(str, c))
@@ -419,6 +451,12 @@ class TestRandomGenerators:
             for seed in range(20):
                 want = reference_count_sparse(params, n, seed)
                 assert random_count_sparse(params, n, seed) == want, (count, n, seed)
+
+    @pytest.mark.parametrize("n", list(range(5, 15)) + [80])
+    def test_degree_bounded_matches_reference(self, n):
+        for seed in range(50):
+            want = reference_degree_bounded(3, n, seed)
+            assert random_degree_bounded_sparse(3, n, seed) == want, (n, seed)
 
     def test_degree_bounded_properties(self):
         for seed in range(12):

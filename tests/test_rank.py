@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lqrig.geometry import LqSpace, Placement, rigidity_matrix
+from lqrig.geometry import LqSpace, Placement, _edge_differences, rigidity_matrix
 from lqrig.graphs import Graph, complete_graph, count_basis, count_rank, path_graph, wheel_graph
-from lqrig.operations import henneberg_generate
+from lqrig.operations import henneberg_generate, random_degree_bounded_sparse
+from lqrig.surfaces import SPHERE, generate_triangulation
 from lqrig.oracles import (
     wheel_corner_submatrix,
     wheel_degenerate_placement,
@@ -19,14 +20,17 @@ from lqrig.oracles import (
 from lqrig.rank import (
     _RESAMPLE_BUDGET,
     DEFAULT_REL_TOL,
-    _basis_gram,
+    _Cell,
+    _certify,
     _equilibrate,
     _normal_entries,
     _positive_definite,
     _sample,
     _shift,
+    _shift_terms,
     cokernel_basis,
     max_rank_sample,
+    max_rank_samples,
     numerical_rank,
     sample_placement,
     verdict,
@@ -53,10 +57,9 @@ def k4_plus_isolated() -> Graph:
 def certificate(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
     """Whether the certificate of `max_rank_sample` passes at p, taken as
     the loop takes it, before any SVD."""
-    m = rigidity_matrix(g, p, space)
-    _equilibrate(m.entries)
-    gram = _basis_gram(g, space, p, m.entries, ceiling, rel_tol)
-    return gram is not None and _positive_definite(*gram)
+    cell = _Cell(g, space, 0, rel_tol)
+    cell.ceiling, cell.draw = ceiling, (p, _edge_differences(g, p.coords)[0])
+    return _certify([cell])[0]
 
 
 def certifies(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
@@ -166,7 +169,9 @@ def test_power_of_two_row_scaling_is_invisible(data):
     d = data.draw(st.integers(1, 3), label="d")
     q = data.draw(st.sampled_from([1.5, 3.0, 6.0, 10.0]), label="q")
     g = Graph(n, data.draw(st.sets(st.sampled_from(complete_graph(n).edges), min_size=1)))
-    _, m = _sample(g, LqSpace(d, q), np.random.default_rng(data.draw(st.integers(0, 99))))
+    space = LqSpace(d, q)
+    p = sample_placement(g, space, np.random.default_rng(data.draw(st.integers(0, 99))))
+    m = rigidity_matrix(g, p, space)
     exps = st.integers(-60, 60)
     rows = np.array(data.draw(st.lists(exps, min_size=g.m, max_size=g.m), label="rows"))
     common = data.draw(exps, label="columns")
@@ -329,7 +334,8 @@ class TestMaxRankSample:
                 for d in (1, 2, 3):
                     space = LqSpace(d, q)
                     for i in range(2):
-                        _, m = _sample(g, space, np.random.default_rng([n, d, i]))
+                        p = sample_placement(g, space, np.random.default_rng([n, d, i]))
+                        m = rigidity_matrix(g, p, space)
                         assert numerical_rank(m).rank <= count_rank(g, d), (g.edges, d)
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 8])
@@ -384,6 +390,96 @@ class TestMaxRankSample:
             max_rank_sample(wheel_graph(5), LqSpace(2, 3.0), trials=0)
 
 
+def beside(a: Graph, b: Graph) -> Graph:
+    """The disjoint union of a and b, b's vertices numbered after a's."""
+    return Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+class OriginOnce:
+    """Generator wrapper whose first draw puts every vertex at the origin."""
+
+    def __init__(self, rng):
+        self.rng, self.first = rng, True
+
+    def uniform(self, low, high, size):
+        if self.first:
+            self.first = False
+            return np.zeros(size)
+        return self.rng.uniform(low, high, size)
+
+
+def mixed_cells():
+    """(graph, space, seed) cells of several shapes, d and q, in shuffled
+    order: tight graphs stacked with the first of the high-q graphs below,
+    whose first trial takes its SVD, and the second, which takes three;
+    two K8s beside a sphere triangulation, whose ceilings drop to the count
+    rank; K5, certified on a count basis from the start; and K4 in the
+    Euclidean plane, never certified."""
+    sphere = [generate_triangulation(SPHERE, 9, s)[0].graph for s in (0, 1)]
+    tight = [henneberg_generate(3, 10, s)[0] for s in range(3)]
+    tight += [random_degree_bounded_sparse(3, 9, s) for s in range(3)]
+    k8 = [beside(generate_triangulation(SPHERE, 8, s)[0].graph, complete_graph(8)) for s in (0, 1)]
+    cells = [
+        (g, LqSpace(3, q), seed)
+        for seed, g in enumerate(sphere + tight + k8)
+        for q in (1.5, 3.0, 10.0)
+    ]
+    plane = (wheel_graph(5), complete_graph(5))
+    cells += [(g, LqSpace(2, q), 3) for g in plane for q in (1.5, 3.0)]
+    cells += [
+        (complete_graph(4), LqSpace(2, 2.0), 1),
+        (henneberg_generate(3, 10, 1016164991)[0], LqSpace(3, 10.0), 1667914287),
+        (henneberg_generate(3, 30, 629145196)[0], LqSpace(3, 10.0), 904496091),
+    ]
+    return [cells[i] for i in np.random.default_rng(0).permutation(len(cells))]
+
+
+class TestMaxRankSamples:
+    @pytest.mark.parametrize("trials", [1, 8])
+    def test_matches_one_call_per_cell(self, trials, monkeypatch):
+        # Stacking changes no verdict.  Every draw for the three cells of
+        # the sphere triangulation with seed 0 first puts all its vertices
+        # at the origin, is coincident, and is drawn again from the same
+        # generator.
+        cells = mixed_cells()
+        real, redrawn = np.random.default_rng, []
+
+        def seeded(key):
+            if key[0] != 0:
+                return real(key)
+            redrawn.append(key)
+            return OriginOnce(real(key))
+
+        monkeypatch.setattr(np.random, "default_rng", seeded)
+        got = max_rank_samples(cells, trials)
+        stacked = len(redrawn)
+        assert stacked > 0
+        for (g, space, seed), vd in zip(cells, got):
+            want = max_rank_sample(g, space, trials, seed)
+            assert (vd.rank, vd.trial_ranks, vd.certified) == (
+                want.rank, want.trial_ranks, want.certified
+            )
+            assert np.array_equal(vd.witness.coords, want.witness.coords)
+            assert vd.witness.well_positioned(g)
+            assert vd.tolerance_used == want.tolerance_used
+        # The three q cells of each graph share each trial's draw.
+        assert 3 * stacked == len(redrawn) - stacked
+        # The mix covers what it claims.
+        lowered = [vd for (g, _, _), vd in zip(cells, got) if g.n == 16]
+        assert len(lowered) == 6 and all(vd.rank == vd.target_rank - 6 for vd in lowered)
+        assert sum(vd.certified for vd in lowered) >= 5
+        assert any(not vd.certified for vd in got)
+        if trials > 1:
+            assert any(vd.certified and len(vd.trial_ranks) > 1 for vd in got)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="trials"):
+            max_rank_samples([(wheel_graph(5), LqSpace(2, 3.0), 0)], trials=0)
+        with pytest.raises(ValueError, match="seed"):
+            max_rank_samples([(wheel_graph(5), LqSpace(2, 3.0), -1)])
+        assert max_rank_samples([]) == []
+
+
 class TestCertificate:
     def test_refuses_exactly_deficient_basis(self):
         # The rows of a cycle in l_q^1 are exactly dependent at every
@@ -392,27 +488,38 @@ class TestCertificate:
         # same; the shift, even at its smallest trace and with no cutoff
         # term (rel_tol 0), must refuse them.
         g, space = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), LqSpace(1, 3.0)
-        s = _shift(g, space, 5, 5 / 4, 0.0)
+        s = _shift(_shift_terms(g, space, 0.0), 5, 5 / 4)
         passed = 0
         for seed in range(100):
-            _, m = _sample(g, space, np.random.default_rng(seed))
+            m = rigidity_matrix(g, sample_placement(g, space, np.random.default_rng(seed)), space)
             assert numerical_rank(m, overwrite=True).rank == 4
             b = m.entries
-            if _positive_definite(b @ b.T, 0.0):
+            if _positive_definite((b @ b.T)[None], np.zeros(1)) == [True]:
                 passed += 1
-                assert not _positive_definite(b @ b.T, s)
+                assert _positive_definite((b @ b.T)[None], np.array([s])) == [False]
         assert passed > 0
 
-    def test_refuses_entries_near_underflow(self):
+    def test_refuses_entries_near_underflow(self, monkeypatch):
         # |x|^9 of a difference x = 2^-150 is 2^-1350, which would underflow
         # to zero at q = 10; at q = 3 it is 2^-300, a normal double.
         g = complete_graph(3)
         p = Placement(2, [[0.0, 0.0], [2.0**-150, 0.5], [-0.5, 0.25]])
-        assert _normal_entries(g, p, 3.0) and not _normal_entries(g, p, 10.0)
+        diffs = _edge_differences(g, p.coords)[0][None]
+        assert _normal_entries(diffs, 3.0) == [True] and _normal_entries(diffs, 10.0) == [False]
         m = rigidity_matrix(g, p, LqSpace(2, 10.0))
         assert numerical_rank(m, overwrite=True).rank == 3
-        # The ceiling |E| = 3 has a count basis: only the guard refuses.
-        assert _basis_gram(g, LqSpace(2, 10.0), p, m.entries, 3, DEFAULT_REL_TOL) is None
+        # In a stack, the guard drops that cell and keeps the other.
+        cells = [_Cell(g, LqSpace(2, 10.0), 0, DEFAULT_REL_TOL) for _ in range(3)]
+        fine = Placement(2, [[0.0, 0.0], [1.0, 0.5], [-0.5, 0.25]])
+        for c, at in zip(cells, (fine, p, fine)):
+            c.draw = (at, _edge_differences(g, at.coords)[0])
+        assert _certify(cells) == [True, False, True]
+        # The ceiling |E| = 3 has a count basis: only the guard refuses,
+        # with no Cholesky.
+        factored = []
+        monkeypatch.setattr(np.linalg, "cholesky", factored.append)
+        assert not certificate(g, LqSpace(2, 10.0), p, 3) and not factored
+        assert certificate(g, LqSpace(2, 3.0), p, 3) and len(factored) == 1
 
     def test_sound_on_small_graphs(self):
         # At q = 3 an entry sgn(x) x^2 is exact in Fractions of the float
@@ -454,9 +561,9 @@ class TestSamplePlacement:
         g, space = wheel_graph(5), LqSpace(2, 3.0)
         for bad in (0, 1, _RESAMPLE_BUDGET - 1):
             rng = OriginFirst(bad)
-            p, m = _sample(g, space, rng)
+            p, diff = _sample(g, space, rng)
             assert rng.calls == bad + 1 and p.well_positioned(g)
-            assert np.array_equal(m.entries, rigidity_matrix(g, p, space).entries)
+            assert np.array_equal(diff, [p.coords[v] - p.coords[w] for v, w in g.edges])
             assert np.array_equal(sample_placement(g, space, OriginFirst(bad)).coords, p.coords)
 
     def test_endpoint_arrays_kept_per_graph(self):
@@ -465,7 +572,7 @@ class TestSamplePlacement:
         ends = g._ends
         assert np.array_equal(ends.T, g.edges) and not ends.flags.writeable
         second = _sample(g, space, np.random.default_rng(0))[1]
-        assert g._ends is ends and np.array_equal(first.entries, second.entries)
+        assert g._ends is ends and np.array_equal(first, second)
         # a derived graph has other edges, so it makes its own
         assert g.with_edge(2, 4)._ends is None
 
