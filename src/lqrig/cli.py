@@ -422,13 +422,13 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     unread = [flag for p, flag in _FLAGS.items() if given[p] is not None and p not in oracle.params]
     if unread:
         raise InputError(f"{name} takes no " + " or ".join(unread))
-    if oracle.selects_gamma and args.gamma is None:
-        given["gamma"] = oracles.select_gamma(args.q)
-    missing = [_FLAGS[p] for p in oracle.params if given[p] is None]
-    if missing:
-        raise InputError(f"{name} needs " + " and ".join(missing))
-    params = {p: given[p] for p in oracle.params}
     try:
+        if oracle.selects_gamma and args.gamma is None:
+            given["gamma"] = oracles.select_gamma(args.q)
+        missing = [_FLAGS[p] for p in oracle.params if given[p] is None]
+        if missing:
+            raise InputError(f"{name} needs " + " and ".join(missing))
+        params = {p: given[p] for p in oracle.params}
         value = oracle.fn(*params.values())
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -4,12 +4,12 @@ Vertices are the indices 0..n-1; an edge is an unordered pair of distinct
 indices.  Graphs are immutable: all "mutating" operations return new graphs.
 Named vertices, if any, live in the I/O layer.
 
-A graph built from an edge list sorts its edges at once.  A graph derived
-from another (`with_edge`, `with_vertex`, the operations of `operations`)
-keeps only the neighbour sets and the edge count: deriving it costs one
-C-level copy of the parent's tuple of neighbour sets plus time in the
-number of edges added or removed, and its sorted `edges` tuple is built
-on first read and kept.
+Every graph keeps its neighbour sets and edge count, and sorts its `edges`
+tuple on first read and keeps it.  One routine checks and applies edges,
+for a graph built from an edge list and for one derived from another
+(`with_edge`, `with_vertex`, the operations of `operations`): deriving
+costs one C-level copy of the parent's tuple of neighbour sets plus time
+in the number of edges added or removed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class Graph:
 
     The neighbour sets and the edge count are the graph; `edges`, the
     canonical form that equality, hashing, pickling and JSON read, is
-    sorted when built from an edge list and on first read when derived.
+    sorted on first read, however the graph was made.
     """
 
     __slots__ = ("n", "_m", "_edges", "_adj", "_games", "_ends")
@@ -33,27 +33,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        normalized: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            e = (u, v) if u < v else (v, u)
-            if e in normalized:
-                raise ValueError(f"duplicate edge {e}")
-            normalized.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self._m = len(normalized)
-        self._edges = tuple(sorted(normalized))
-        self._adj = tuple(frozenset(s) for s in adj)
-        # (game, accepted edge indices) by count; see `_loaded`.
-        self._games: dict = {}
-        # Edge endpoint arrays, made on first use by `geometry`.
-        self._ends = None
+        self._build(n, (), 0, edges)
 
     # -- queries ---------------------------------------------------------
 
@@ -63,8 +43,8 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges as (u, v) with u < v, sorted lexicographically; a derived
-        graph sorts them on first read and keeps them."""
+        """Edges as (u, v) with u < v, sorted lexicographically on first
+        read and kept."""
         if self._edges is None:
             self._edges = tuple(
                 sorted([(u, w) for u, nbrs in enumerate(self._adj) for w in nbrs if u < w])
@@ -127,13 +107,19 @@ class Graph:
     def _derive(
         self, n: int, added: Iterable[tuple[int, int]], removed: Iterable[tuple[int, int]] = ()
     ) -> "Graph":
-        """This graph on n >= self.n vertices less `removed` (which must be
-        edges) plus `added`.  Only these edges are checked, against the
-        neighbour sets and with the errors of `__init__`, and only the
-        touched vertices' neighbour sets rebuilt; `edges` waits for a read."""
-        adj = list(self._adj)
-        adj += [frozenset()] * (n - self.n)
-        m = self._m
+        """This graph on n >= self.n vertices less `removed` plus `added`."""
+        out = Graph.__new__(Graph)
+        out._build(n, self._adj, self._m, added, removed)
+        return out
+
+    def _build(self, n: int, adj: tuple, m: int, added: Iterable, removed: Iterable = ()) -> None:
+        """Make this the graph on n >= len(adj) vertices with neighbour sets
+        `adj` and m edges, less `removed` (which must be edges) plus `added`:
+        the one routine that checks edges, for `__init__` and `_derive`.
+        Only these edges are checked, against the neighbour sets, and only
+        the touched vertices' sets rebuilt; `edges` waits for a read."""
+        adj = list(adj)
+        adj += [frozenset()] * (n - len(adj))
         touched: dict[int, set[int]] = {}
 
         def nbrs(u: int) -> set[int]:
@@ -159,10 +145,10 @@ class Graph:
             m += 1
         for u, s in touched.items():
             adj[u] = frozenset(s)
-        out = Graph.__new__(Graph)
-        out.n, out._m, out._edges, out._adj = n, m, None, tuple(adj)
-        out._games, out._ends = {}, None
-        return out
+        self.n, self._m, self._edges, self._adj = n, m, None, tuple(adj)
+        # (game, accepted edge indices) by count (see `_loaded`), and the
+        # edge endpoint arrays that `geometry` makes on first use.
+        self._games, self._ends = {}, None
 
     def without_edges_at(self, v: int) -> "Graph":
         """Same vertex set with v isolated."""

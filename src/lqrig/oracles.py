@@ -158,12 +158,12 @@ def k7k3_detR(gamma: float, q: float) -> float:
 
 
 def select_gamma(q: float, threshold: float = 1e-6) -> float:
-    """First gamma in the scan 1/2, 1/3, 2/3, 1/4, 3/4, ... with
-    |f(gamma)| > threshold.
+    """First gamma in the scan 1/2, 1/3, 2/3, ..., 62/63 with |f(gamma)| >
+    threshold; ValueError when none qualifies, as at q = 2, where f = 0.
 
     gamma = 1/2 is always a root of f (2^{q-1} (1/2)^{q-1} = 1), so the
-    scan moves on; it terminates because f is continuous with
-    f(1) = 2^{q-1} - 2 != 0 for q != 2.
+    scan moves on; away from q = 2 it ends early, because f is continuous
+    with f(1) = 2^{q-1} - 2 != 0 for q != 2.
     """
     for den in range(2, 64):
         for num in range(1, den):
@@ -172,7 +172,7 @@ def select_gamma(q: float, threshold: float = 1e-6) -> float:
             gamma = num / den
             if abs(k7k3_f(gamma, q)) > threshold:
                 return gamma
-    raise RuntimeError("gamma scan exhausted")
+    raise ValueError(f"no gamma in the scan has |f(gamma)| > {threshold} at q = {q}")
 
 
 def k7k3_chain(gamma: float, q: float) -> dict[str, np.ndarray]:

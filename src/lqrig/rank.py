@@ -82,9 +82,10 @@ class RankResult:
 
     @property
     def sv_gap(self) -> tuple[Optional[float], Optional[float]]:
-        """`smallest_kept` and `largest_dropped` divided by the cutoff."""
+        """`smallest_kept` and `largest_dropped` divided by the cutoff; both
+        None when the cutoff is 0, as for a zero matrix."""
         return tuple(
-            None if sv is None else sv / self.tolerance_used
+            None if sv is None or self.tolerance_used == 0 else sv / self.tolerance_used
             for sv in (self.smallest_kept, self.largest_dropped)
         )
 

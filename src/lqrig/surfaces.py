@@ -30,7 +30,6 @@ SPHERE = "sphere"
 PROJECTIVE_PLANE = "projective_plane"
 
 _EULER = {SPHERE: 2, PROJECTIVE_PLANE: 1}
-_EDGE_OFFSET = {SPHERE: -6, PROJECTIVE_PLANE: -3}
 
 # Tetrahedron.
 _K4_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -169,7 +168,14 @@ def link_cycle(t: SurfaceTriangulation, v: int) -> list[int]:
 
 
 def validate(t: SurfaceTriangulation) -> ValidationResult:
-    """Check all structural invariants; report the first violation."""
+    """Check all structural invariants; report the first violation.
+
+    The Euler characteristic fixes the edge count: once each face is three
+    distinct in-range vertices whose edges are graph edges, no face repeats
+    and each graph edge lies in exactly two faces, 3|F| = 2|E|, so
+    chi = |V| - |E|/3.  Then |E| = 3|V| - 6 exactly when chi = 2 (sphere) and
+    |E| = 3|V| - 3 exactly when chi = 1 (projective plane).
+    """
     n = t.n
     for f in t.faces:
         if len(f) != 3 or len(set(f)) != 3:
@@ -188,11 +194,6 @@ def validate(t: SurfaceTriangulation) -> ValidationResult:
     for e, c in cover.items():
         if c != 2:
             return ValidationResult(False, f"edge {e} lies in {c} faces, expected 2")
-    expected_m = 3 * n + _EDGE_OFFSET[t.surface]
-    if t.graph.m != expected_m:
-        return ValidationResult(
-            False, f"edge count {t.graph.m} != 3n{_EDGE_OFFSET[t.surface]:+d} = {expected_m}"
-        )
     chi = n - t.graph.m + len(t.faces)
     if chi != _EULER[t.surface]:
         return ValidationResult(

@@ -370,6 +370,14 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "takes no" in captured.err
 
+    @pytest.mark.parametrize("name", ["gamma_select", "k7k3_detR", "k4_gamma_det"])
+    @pytest.mark.parametrize("q", ["2", "2.0000001"])
+    def test_no_gamma_qualifies_exit_2(self, name, q, capsys):
+        # f vanishes at q = 2, so no gamma of the scan qualifies
+        assert main(["oracle", "--name", name, "-q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no gamma" in captured.err
+
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-0.5", "1.5", "1e300"])
     def test_k7k3_f_gamma_outside_range_exit_2(self, gamma, capsys):
         assert main(["oracle", "--name", "k7k3_f", "-q", "3", "--gamma", gamma]) == 2

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lqrig.graphs import (
@@ -41,7 +41,65 @@ PARAM_GRID = [
 ]
 
 
+def edge_by_edge(n, edges):
+    """Graph(n, edges) built by one `with_edge` call per edge."""
+    g = Graph(n)
+    for u, v in edges:
+        g = g.with_edge(u, v)
+    return g
+
+
+def built_or_error(build, n, edges):
+    """The graph `build(n, edges)` makes, or the message of its ValueError."""
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) whose endpoints may repeat or fall one outside 0..n-1."""
+    n = draw(st.integers(0, 6))
+    ends = st.integers(-1, n)
+    return n, draw(st.lists(st.tuples(ends, ends), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+@example((3, [(0, 1), (2, 2)]))
+@example((3, [(0, 1), (1, 3)]))
+@example((3, [(1, 2), (0, 1), (2, 1)]))
+@example((3, [(0, 2), (0, 2)]))
+def test_edge_list_matches_edge_by_edge(case):
+    # An edge list and successive `with_edge` calls go through one routine:
+    # the same graph, or the same error on the first bad edge.
+    n, edges = case
+    got = built_or_error(Graph, n, edges)
+    assert got == built_or_error(edge_by_edge, n, edges)
+    if isinstance(got, Graph):
+        assert got.edges == tuple(sorted({(min(e), max(e)) for e in edges}))
+        assert got.m == len(got.edges) == len(edges)
+        assert got._adj == edge_by_edge(n, edges)._adj
+
+
 class TestGraph:
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+            ([(0, 3)], "edge (0,3) out of range for n=3"),
+            ([(-1, 0)], "edge (-1,0) out of range for n=3"),
+            ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+            ([(2, 1), (2, 1)], "duplicate edge (1, 2)"),
+        ],
+    )
+    def test_bad_edge_list_message(self, edges, message):
+        for build in (Graph, edge_by_edge):
+            with pytest.raises(ValueError) as exc:
+                build(3, edges)
+            assert str(exc.value) == message
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(3, [(0, 0)])

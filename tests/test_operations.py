@@ -458,12 +458,16 @@ class TestRandomGenerators:
             want = reference_degree_bounded(3, n, seed)
             assert random_degree_bounded_sparse(3, n, seed) == want, (n, seed)
 
-    def test_degree_bounded_properties(self):
-        for seed in range(12):
-            g = random_degree_bounded_sparse(3, 9, seed)
-            assert g.is_connected()
-            assert g.min_degree() <= 4 and g.max_degree() <= 5
-            assert is_sparse(g, SparsityParams(3, 3))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_degree_bounded_properties(self, d):
+        # The generator checks none of these; its construction proves them.
+        for n in list(range(1, 31)) + [80]:
+            for seed in range(50):
+                g = random_degree_bounded_sparse(d, n, seed)
+                assert g.n == n and g.is_connected(), (d, n, seed)
+                assert g.min_degree() <= d + 1 and g.max_degree() <= d + 2, (d, n, seed)
+                # a fresh graph plays its own game, not the one handed on
+                assert is_sparse(Graph(n, g.edges), SparsityParams(d, d)), (d, n, seed)
 
     def test_count_sparse_properties(self):
         params = SparsityParams(5, 7, edge_multiplier=2)

@@ -112,6 +112,12 @@ class TestNumericalRank:
         res = numerical_rank(np.zeros((4, 5)))
         assert res.rank == 0 and res.smallest_kept is None and res.largest_dropped == 0.0
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 5)], ids=["3x3", "4x5"])
+    def test_zero_has_no_gap(self, shape):
+        # every singular value is 0, so the cutoff is 0 and there is no ratio
+        res = numerical_rank(np.zeros(shape))
+        assert res.tolerance_used == 0 and res.sv_gap == (None, None)
+
     def test_empty(self):
         assert numerical_rank(np.zeros((0, 5))).rank == 0
 
