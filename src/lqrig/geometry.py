@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,7 +109,8 @@ def _ends(g: Graph) -> np.ndarray:
     """The 2 x |E| endpoint arrays v < w of g's edges in lexicographic
     order, made once per graph and kept on it, read-only."""
     if g._ends is None:
-        ends = np.array(g.edges, dtype=np.intp).reshape(g.m, 2).T
+        flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
+        ends = flat.reshape(g.m, 2).T
         ends.setflags(write=False)
         g._ends = ends
     return g._ends

@@ -332,16 +332,24 @@ def random_degree_bounded_sparse(d: int, n: int, seed: int) -> Graph:
       edge is accepted only if the min degree stays at most d+1;
     - (d,d)-sparse: a vertex added with at most d edges keeps a sparse
       graph sparse, and `with_addable_edge` returns only sparse graphs.
+
+    The vertex phase keeps degree and edge lists and builds one `Graph`,
+    whose checks every edge passes, before the edge phase; drawing indices
+    into the candidate list takes the same draws as drawing from it.
     """
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
-    g = Graph(1)
-    while g.n < n:
-        cand = [v for v in range(g.n) if g.degree(v) < d + 2]
+    deg = [0]
+    edges = []
+    for w in range(1, n):
+        cand = [v for v in range(w) if deg[v] < d + 2]
         take = int(rng.integers(1, min(d, len(cand)) + 1))
-        s = [int(x) for x in rng.choice(cand, size=take, replace=False)]
-        g = g.with_vertex(s)
+        for i in rng.choice(len(cand), size=take, replace=False):
+            edges.append((cand[i], w))
+            deg[cand[i]] += 1
+        deg.append(take)
+    g = Graph(n, edges)
     draws = int(rng.integers(0, 2 * d + 1))
     # The non-adjacent pairs below degree d+2, in lexicographic order:
     # listed once, then kept up to date as edges are accepted.

@@ -8,16 +8,23 @@ Sphere triangulations satisfy |E| = 3|V| - 6, projective-plane ones
 |E| = 3|V| - 3.
 
 Each triangulation keeps, per vertex, the positions of the faces at it.
-The index is built once from a face list (`from_faces`, `base_complex`)
-and handed on by each split, so `link_cycle` reads only the faces at its
-vertex and a split costs time in the degree of the split vertex plus
-C-level copies of the face list, the index and the graph's neighbour sets.
+The index is built once from a face list (`from_faces`) and handed on by
+each split, so `link_cycle` reads only the faces at its vertex.  One face
+edit serves both kinds of split.  `topological_vertex_split` runs it on
+copies, so it costs time in the degree of the split vertex plus C-level
+copies of the face list, the index and the graph's neighbour sets.
+`generate_triangulation` runs it in place on one face list and index,
+reads each split vertex's link once and builds its graph once, from the
+final faces, so a step costs time in the split vertex's degree plus one
+pass of running sums over the vertices.  The base complexes are built
+once per process and shared.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field, replace
+from functools import cache
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
@@ -129,8 +136,13 @@ def from_faces(
 
 def base_complex(kind: str) -> SurfaceTriangulation:
     """Named starting complexes: the tetrahedron for the sphere, K6 and
-    K7 - K3 for the projective plane."""
-    kind = _BASE_ALIASES.get(kind, kind)
+    K7 - K3 for the projective plane.  Each is built once per process and
+    shared; like every triangulation it is immutable."""
+    return _base_complex(_BASE_ALIASES.get(kind, kind))
+
+
+@cache
+def _base_complex(kind: str) -> SurfaceTriangulation:
     if kind not in _BASES:
         raise ValueError(f"unknown base complex {kind!r}")
     surface, n, faces = _BASES[kind]
@@ -140,8 +152,13 @@ def base_complex(kind: str) -> SurfaceTriangulation:
 def link_cycle(t: SurfaceTriangulation, v: int) -> list[int]:
     """Neighbours of v in the cyclic order induced by the faces at v, read
     in face-list order from `faces_at`."""
-    at = t.faces_at[v] if 0 <= v < t.n else ()
-    pairs = [tuple(x for x in t.faces[i] if x != v) for i in at]
+    return _link(t.faces, t.faces_at, v)
+
+
+def _link(faces: Sequence[tuple[int, ...]], at: Sequence[Sequence[int]], v: int) -> list[int]:
+    """`link_cycle` of v over a face list and its index: raises ValueError
+    unless v lies on some face and its link pairs form one cycle."""
+    pairs = [_opposite(faces[i], v) for i in (at[v] if 0 <= v < len(at) else ())]
     if not pairs:
         raise ValueError(f"vertex {v} lies on no face")
     adj: dict[int, list[int]] = {}
@@ -165,6 +182,13 @@ def link_cycle(t: SurfaceTriangulation, v: int) -> list[int]:
     if len(cycle) != len(adj):
         raise ValueError(f"link of vertex {v} is not a single cycle")
     return cycle
+
+
+def _opposite(face: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The vertices of `face` other than v, in face order; the whole face
+    when v is not on it."""
+    x, y, z = face
+    return (y, z) if x == v else (x, z) if y == v else (x, y) if z == v else face
 
 
 def validate(t: SurfaceTriangulation) -> ValidationResult:
@@ -218,7 +242,9 @@ def topological_vertex_split(
     this is the 3-dimensional vertex split with shared neighbours {a, b}
     that moves the interior of the arc b..a to w0, and the graph and record
     come from that d = 3 `operations.vertex_split`.  The record, which
-    `apply_record` replays, gains `a` and `b` for `replay_splits`.
+    `apply_record` replays, gains `a` and `b` for `replay_splits`.  `t` is
+    left as it is: the face edit (`_split_faces`, which the generator runs
+    too) works on copies of its face list and index.
 
     Precondition: `t` is a valid triangulation (see `validate`).  The output
     is then valid too, so it is not re-checked: the edit is local to the
@@ -232,41 +258,51 @@ def topological_vertex_split(
     cycle = link_cycle(t, v)
     if a not in cycle or b not in cycle:
         raise ValueError(f"{a} and {b} must lie on the link of {v}")
+    faces, at = list(t.faces), list(t.faces_at)
+    moved = _split_faces(faces, at, v, a, b, cycle)
+    graph, rec = vertex_split(t.graph, v, (a, b), moved, 3)
+    out = SurfaceTriangulation(graph, tuple(faces), t.surface, tuple(at))
+    return out, replace(rec, params={**rec.params, "a": a, "b": b})
+
+
+def _split_faces(
+    faces: list[tuple[int, int, int]],
+    at: list[tuple[int, ...]],
+    v: int,
+    a: int,
+    b: int,
+    cycle: list[int],
+) -> list[int]:
+    """Split v at a and b, given v's link `cycle`, by editing `faces` and
+    `at`, its per-vertex index, in place; return the link vertices strictly
+    inside the arc b..a, whose edges to v move to the new vertex w0 =
+    len(at).  Only the faces at v change, and the two new faces go last, so
+    every position list stays ascending; each entry of `at` that changes
+    is replaced by a new tuple, so the lists' old entries can be shared."""
     ia = cycle.index(a)
     cyc = cycle[ia:] + cycle[:ia]
     ib = cyc.index(b)
-    w0 = t.n
-    # faces at v correspond to consecutive link pairs; positions before b
-    # stay with v (the arc a..b), the rest move to w0 (the arc b..a)
+    w0 = len(at)
+    # Faces at v correspond to consecutive link pairs; the pairs before b
+    # stay with v (the arc a..b), the rest move to w0 (the arc b..a).
     size = len(cyc)
-    owner_of = {
-        frozenset((cyc[i], cyc[(i + 1) % size])): v if i < ib else w0
-        for i in range(size)
-    }
-
-    # Only the faces at v change, in place; the two new faces go last, so
-    # every position list stays ascending.
-    faces = list(t.faces)
+    kept_pair = {frozenset((cyc[i], cyc[(i + 1) % size])): i < ib for i in range(size)}
     kept, moved = [], []
-    for i in t.faces_at[v]:
-        x, y = (z for z in faces[i] if z != v)
-        if owner_of[frozenset((x, y))] == v:
+    for i in at[v]:
+        x, y = _opposite(faces[i], v)
+        if kept_pair[frozenset((x, y))]:
             kept.append(i)
         else:
-            faces[i] = tuple(sorted((w0, x, y)))
+            faces[i] = (x, y, w0)
             moved.append(i)
     new = len(faces)
-    faces.append(tuple(sorted((v, w0, a))))
-    faces.append(tuple(sorted((v, w0, b))))
-    at = list(t.faces_at)
+    faces.append((a, v, w0) if a < v else (v, a, w0))
+    faces.append((b, v, w0) if b < v else (v, b, w0))
     at[v] = (*kept, new, new + 1)
     at[a] += (new,)
     at[b] += (new + 1,)
     at.append((*moved, new, new + 1))
-
-    graph, rec = vertex_split(t.graph, v, (a, b), cyc[ib + 1 :], 3)
-    out = SurfaceTriangulation(graph, tuple(faces), t.surface, tuple(at))
-    return out, replace(rec, params={**rec.params, "a": a, "b": b})
+    return cyc[ib + 1 :]
 
 
 def generate_triangulation(
@@ -279,43 +315,57 @@ def generate_triangulation(
     topological vertex splits; deterministic per seed.  Each step draws an
     index into the candidate splits (v, a, b), a and b distinct on the link
     of v, ordered by v, then a, then b in link-cycle order; `_split_at`
-    finds the drawn one without listing them.  Vertex v has deg(v)
-    (deg(v) - 1) candidates, as its link holds deg(v) vertices; these
-    weights are kept across steps and updated where a split changes a
-    degree: at v, a, b and the new vertex.  Each split's graph comes from
-    the d = 3 `operations.vertex_split`."""
+    finds the drawn one from one read of v's link, without listing them.
+    Vertex v has deg(v) (deg(v) - 1) candidates, as its link holds deg(v)
+    vertices; these weights are kept across steps and updated where a split
+    changes a degree: at v, a, b and the new vertex.
+
+    The splits edit one face list and its index in place, by the face edit
+    of `topological_vertex_split`, and each record is the one that split
+    would give.  The graph is built once, from the final faces, so every
+    output edge passes `Graph`'s checks.  The per-step argument checks of
+    `operations.vertex_split` hold by construction: a and b are two
+    vertices of v's link, and the moved vertices are the rest of one arc.
+    """
     if base is None:
         base = "K4" if surface == SPHERE else "K6"
-    t = base_complex(base)
-    if t.surface != surface:
-        raise ValueError(f"base {base!r} is a {t.surface} complex, not {surface}")
-    if n < t.n:
-        raise ValueError(f"target {n} below base size {t.n}")
+    start = base_complex(base)
+    if start.surface != surface:
+        raise ValueError(f"base {base!r} is a {start.surface} complex, not {surface}")
+    if n < start.n:
+        raise ValueError(f"target {n} below base size {start.n}")
     rng = np.random.default_rng(seed)
+    faces, at = list(start.faces), list(start.faces_at)
+    # A vertex of a closed surface lies on as many faces as it has
+    # neighbours, so its degree is the length of its index entry.
+    weights = [len(x) * (len(x) - 1) for x in at]
     records: list[OpRecord] = []
-    weights = [deg * (deg - 1) for deg in map(t.graph.degree, range(t.n))]
-    while t.n < n:
+    for w0 in range(start.n, n):
         cum = list(accumulate(weights))
-        v, a, b = _split_at(t, int(rng.integers(cum[-1])), cum)
-        t, rec = topological_vertex_split(t, v, a, b)
-        records.append(rec)
+        v, a, b, cycle = _split_at(faces, at, int(rng.integers(cum[-1])), cum)
+        moved = _split_faces(faces, at, v, a, b, cycle)
+        params = {"v0": v, "shared": sorted((a, b)), "moved": sorted(moved), "d": 3, "a": a, "b": b}
+        records.append(OpRecord("vsplit", params, w0, w0 + 1))
         weights.append(0)
-        for x in (v, a, b, t.n - 1):
-            deg = t.graph.degree(x)
-            weights[x] = deg * (deg - 1)
-    return t, records
+        for x in (v, a, b, w0):
+            weights[x] = len(at[x]) * (len(at[x]) - 1)
+    graph = Graph(n, {e for f in faces for e in combinations(f, 2)})
+    return SurfaceTriangulation(graph, tuple(faces), surface, tuple(at)), records
 
 
-def _split_at(t: SurfaceTriangulation, k: int, cum: Sequence[int]) -> tuple[int, int, int]:
-    """The k-th candidate split in the order of `generate_triangulation`,
-    from `cum`, the running sums of deg(v) (deg(v) - 1) over the vertices,
-    and one link cycle."""
+def _split_at(
+    faces: Sequence[tuple[int, ...]], at: Sequence[Sequence[int]], k: int, cum: Sequence[int]
+) -> tuple[int, int, int, list[int]]:
+    """The k-th candidate split (v, a, b) in the order of
+    `generate_triangulation`, with v's link cycle, from `cum`, the running
+    sums of deg(v) (deg(v) - 1) over the vertices, and one read of v's link
+    in the face list `faces` and its index `at`."""
     v = bisect_right(cum, k)
     if v:
         k -= cum[v - 1]
-    cycle = link_cycle(t, v)
+    cycle = _link(faces, at, v)
     i, j = divmod(k, len(cycle) - 1)
-    return v, cycle[i], cycle[j + (j >= i)]
+    return v, cycle[i], cycle[j + (j >= i)], cycle
 
 
 def replay_splits(

@@ -6,6 +6,8 @@ import pytest
 from lqrig.graphs import Graph, complete_graph
 from lqrig.operations import vertex_split
 from lqrig.surfaces import (
+    _BASES,
+    BASE_NAMES,
     PROJECTIVE_PLANE,
     SPHERE,
     SurfaceTriangulation,
@@ -133,7 +135,8 @@ class TestBaseComplexes:
             assert not t.graph.has_edge(*e)
 
     def test_alias(self):
-        assert base_complex("K7mK3") == base_complex("K7_minus_K3")
+        # resolved before the per-process cache, so both names share one base
+        assert base_complex("K7mK3") is base_complex("K7_minus_K3")
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -216,7 +219,9 @@ class TestSplit:
             cands = split_candidates(t)
             cum = list(accumulate(k * (k - 1) for k in map(t.graph.degree, range(t.n))))
             assert cum[-1] == len(cands)
-            assert [_split_at(t, k, cum) for k in range(len(cands))] == cands
+            drawn = [_split_at(t.faces, t.faces_at, k, cum) for k in range(len(cands))]
+            assert [split[:3] for split in drawn] == cands
+            assert all(cycle == reference_link(t, v) for v, _, _, cycle in drawn)
 
 
 class TestValidateNegatives:
@@ -321,11 +326,14 @@ class TestGeneration:
 
     @pytest.mark.parametrize("surface, base", [
         (SPHERE, "K4"), (PROJECTIVE_PLANE, "K6"), (PROJECTIVE_PLANE, "K7_minus_K3"),
+        (PROJECTIVE_PLANE, "K7mK3"),
     ])
     def test_reference_draws(self, surface, base):
         # The generator's draws equal an index into the listed candidates,
         # drawn from the same stream, over enough splits that a stale split
         # weight or face index would show; links equal a scan of all faces.
+        # Its in-place edits give the face index and the graph, neighbour set
+        # by neighbour set, of the copy-on-write splits.
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             t, log = base_complex(base), []
@@ -335,6 +343,11 @@ class TestGeneration:
                 log.append(rec)
             made, made_log = generate_triangulation(surface, 40, seed, base=base)
             assert made.faces == t.faces
+            assert made.faces_at == t.faces_at
+            assert made.graph == t.graph
+            assert [made.graph.neighbors(v) for v in range(40)] == [
+                t.graph.neighbors(v) for v in range(40)
+            ]
             assert [r.to_json_dict() for r in made_log] == [r.to_json_dict() for r in log]
             replayed = replay_splits(base_complex(base), made_log)
             for u in (t, made, replayed):
@@ -342,6 +355,21 @@ class TestGeneration:
                 assert [link_cycle(u, v) for v in range(u.n)] == [
                     reference_link(u, v) for v in range(u.n)
                 ]
+
+    def test_shared_bases_stay_unchanged(self):
+        # Every call shares one base complex per name; growing from it and
+        # replaying onto it leave its faces and face index as frozen.
+        for kind in BASE_NAMES:
+            surface = base_complex(kind).surface
+            for seed in (0, 1):
+                t, log = generate_triangulation(surface, 30, seed, base=kind)
+                replayed = replay_splits(base_complex(kind), log)
+                assert replayed == t and replayed.faces_at == t.faces_at
+        for kind, (surface, n, faces) in _BASES.items():
+            t = base_complex(kind)
+            assert t.faces == faces
+            assert t.faces_at == SurfaceTriangulation(t.graph, faces, surface).faces_at
+            assert t.graph == from_faces(surface, n, faces).graph
 
     def test_base_surface_mismatch(self):
         with pytest.raises(ValueError, match="complex"):
