@@ -7,23 +7,20 @@ one code path, and the topological vertex split is a local face-list edit.
 Sphere triangulations satisfy |E| = 3|V| - 6, projective-plane ones
 |E| = 3|V| - 3.
 
-Each triangulation keeps, per vertex, the positions of the faces at it.
-The index is built once from a face list (`from_faces`) and handed on by
-each split, so `link_cycle` reads only the faces at its vertex.  One face
-edit serves both kinds of split.  `topological_vertex_split` runs it on
-copies, so it costs time in the degree of the split vertex plus C-level
-copies of the face list, the index and the graph's neighbour sets.
-`generate_triangulation` runs it in place on one face list and index,
-reads each split vertex's link once and builds its graph once, from the
-final faces, so a step costs time in the split vertex's degree plus one
-pass of running sums over the vertices.  The base complexes are built
-once per process and shared.
+A triangulation is its graph, faces and surface.  One in-place face edit
+makes every split: through a per-vertex index of face positions it
+touches only the faces at the split vertex.  `generate_triangulation`
+and `replay_splits` build the index once, edit one face list split by
+split and build the graph once, from the final faces;
+`topological_vertex_split` edits a copy of the faces and takes its graph
+from `operations.vertex_split`.  The base complexes are built once per
+process and shared.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
@@ -75,26 +72,11 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class SurfaceTriangulation:
-    """A face list over a graph on one surface.  `faces_at[v]` lists the
-    positions in `faces` of the faces at v in ascending order; it is built
-    from the faces unless given, and is left out of equality, hashing,
-    repr and JSON."""
+    """A face list over a graph on one surface."""
 
     graph: Graph
     faces: tuple[tuple[int, int, int], ...]
     surface: str
-    at: InitVar[Optional[tuple[tuple[int, ...], ...]]] = None
-    faces_at: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, at: Optional[tuple[tuple[int, ...], ...]]) -> None:
-        if at is None:
-            index: list[list[int]] = [[] for _ in range(self.graph.n)]
-            for i, f in enumerate(self.faces):
-                for x in set(f):
-                    if 0 <= x < self.graph.n:
-                        index[x].append(i)
-            at = tuple(map(tuple, index))
-        object.__setattr__(self, "faces_at", at)
 
     @property
     def n(self) -> int:
@@ -122,16 +104,19 @@ class SurfaceTriangulation:
         return t
 
 
-def from_faces(
-    surface: str, n: int, faces: Sequence[Sequence[int]]
-) -> SurfaceTriangulation:
+def from_faces(surface: str, n: int, faces: Sequence[Sequence[int]]) -> SurfaceTriangulation:
     """Assemble a triangulation from a face list; the graph is the union of
     the face edges.  No validation beyond graph construction."""
     if surface not in _EULER:
         raise ValueError(f"unknown surface {surface!r}")
-    norm = tuple(tuple(sorted(f)) for f in faces)
-    edges = {e for f in norm for e in combinations(f, 2)}
-    return SurfaceTriangulation(Graph(n, sorted(edges)), norm, surface)
+    return _assemble(surface, n, [tuple(sorted(f)) for f in faces])
+
+
+def _assemble(surface: str, n: int, faces: Sequence[tuple[int, ...]]) -> SurfaceTriangulation:
+    """The triangulation of `faces`, each an ascending triple, over the
+    union of their edges, every one of which `Graph` checks."""
+    graph = Graph(n, {e for f in faces for e in combinations(f, 2)})
+    return SurfaceTriangulation(graph, tuple(faces), surface)
 
 
 def base_complex(kind: str) -> SurfaceTriangulation:
@@ -149,16 +134,27 @@ def _base_complex(kind: str) -> SurfaceTriangulation:
     return from_faces(surface, n, faces)
 
 
+def _index(faces: Sequence[tuple[int, ...]], n: int) -> list[list[int]]:
+    """Per vertex of 0..n-1, the positions in `faces` of the faces at it,
+    ascending; every face must be three distinct vertices in range."""
+    at: list[list[int]] = [[] for _ in range(n)]
+    for i, (x, y, z) in enumerate(faces):
+        at[x].append(i)
+        at[y].append(i)
+        at[z].append(i)
+    return at
+
+
 def link_cycle(t: SurfaceTriangulation, v: int) -> list[int]:
     """Neighbours of v in the cyclic order induced by the faces at v, read
-    in face-list order from `faces_at`."""
-    return _link(t.faces, t.faces_at, v)
+    from the face list in its order."""
+    return _link(t.faces, [i for i, f in enumerate(t.faces) if v in f], v)
 
 
-def _link(faces: Sequence[tuple[int, ...]], at: Sequence[Sequence[int]], v: int) -> list[int]:
-    """`link_cycle` of v over a face list and its index: raises ValueError
-    unless v lies on some face and its link pairs form one cycle."""
-    pairs = [_opposite(faces[i], v) for i in (at[v] if 0 <= v < len(at) else ())]
+def _link(faces: Sequence[tuple[int, ...]], at_v: Sequence[int], v: int) -> list[int]:
+    """`link_cycle` of v from `at_v`, the positions of the faces at v: raises
+    ValueError unless v lies on some face and its link pairs form one cycle."""
+    pairs = [_opposite(faces[i], v) for i in at_v]
     if not pairs:
         raise ValueError(f"vertex {v} lies on no face")
     adj: dict[int, list[int]] = {}
@@ -185,10 +181,9 @@ def _link(faces: Sequence[tuple[int, ...]], at: Sequence[Sequence[int]], v: int)
 
 
 def _opposite(face: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """The vertices of `face` other than v, in face order; the whole face
-    when v is not on it."""
+    """The vertices of `face` other than v, which lies on it, in face order."""
     x, y, z = face
-    return (y, z) if x == v else (x, z) if y == v else (x, y) if z == v else face
+    return (y, z) if x == v else (x, z) if y == v else (x, y)
 
 
 def validate(t: SurfaceTriangulation) -> ValidationResult:
@@ -220,12 +215,11 @@ def validate(t: SurfaceTriangulation) -> ValidationResult:
             return ValidationResult(False, f"edge {e} lies in {c} faces, expected 2")
     chi = n - t.graph.m + len(t.faces)
     if chi != _EULER[t.surface]:
-        return ValidationResult(
-            False, f"Euler characteristic {chi} != {_EULER[t.surface]}"
-        )
+        return ValidationResult(False, f"Euler characteristic {chi} != {_EULER[t.surface]}")
+    at = _index(t.faces, n)
     for v in range(n):
         try:
-            link_cycle(t, v)
+            _link(t.faces, at[v], v)
         except ValueError as exc:
             return ValidationResult(False, str(exc))
     return ValidationResult(True)
@@ -240,11 +234,10 @@ def topological_vertex_split(
     the stored cyclic order) plus the new vertex w0, which takes the other
     arc.  Faces (v, w0, a) and (v, w0, b) are added.  As a graph operation
     this is the 3-dimensional vertex split with shared neighbours {a, b}
-    that moves the interior of the arc b..a to w0, and the graph and record
-    come from that d = 3 `operations.vertex_split`.  The record, which
-    `apply_record` replays, gains `a` and `b` for `replay_splits`.  `t` is
-    left as it is: the face edit (`_split_faces`, which the generator runs
-    too) works on copies of its face list and index.
+    that moves the interior of the arc b..a to w0: the graph comes from that
+    d = 3 `operations.vertex_split`, with its checks, and the record is its
+    record plus `a` and `b` for `replay_splits`.  The single step runs the
+    face edit of `replay_splits` on a copy of the face list.
 
     Precondition: `t` is a valid triangulation (see `validate`).  The output
     is then valid too, so it is not re-checked: the edit is local to the
@@ -253,32 +246,31 @@ def topological_vertex_split(
     a and b stay single cycles (w0 enters those of a and b next to v); and
     |V| + 1, |E| + 3, |F| + 2 keep the edge count and Euler characteristic.
     """
+    faces = list(t.faces)
+    rec = _checked_split(faces, _index(faces, t.n), v, a, b)
+    graph, _ = vertex_split(t.graph, v, (a, b), rec.params["moved"], 3)
+    return SurfaceTriangulation(graph, tuple(faces), t.surface), rec
+
+
+def _checked_split(faces: list, at: list[list[int]], v: int, a: int, b: int) -> OpRecord:
+    """`_split_faces` for a split named by the caller: raises ValueError
+    unless a and b are distinct vertices on v's link, a single cycle."""
     if a == b:
         raise ValueError("split vertices must be distinct")
-    cycle = link_cycle(t, v)
+    cycle = _link(faces, at[v] if 0 <= v < len(at) else (), v)
     if a not in cycle or b not in cycle:
         raise ValueError(f"{a} and {b} must lie on the link of {v}")
-    faces, at = list(t.faces), list(t.faces_at)
-    moved = _split_faces(faces, at, v, a, b, cycle)
-    graph, rec = vertex_split(t.graph, v, (a, b), moved, 3)
-    out = SurfaceTriangulation(graph, tuple(faces), t.surface, tuple(at))
-    return out, replace(rec, params={**rec.params, "a": a, "b": b})
+    return _split_faces(faces, at, v, a, b, cycle)
 
 
 def _split_faces(
-    faces: list[tuple[int, int, int]],
-    at: list[tuple[int, ...]],
-    v: int,
-    a: int,
-    b: int,
-    cycle: list[int],
-) -> list[int]:
-    """Split v at a and b, given v's link `cycle`, by editing `faces` and
-    `at`, its per-vertex index, in place; return the link vertices strictly
-    inside the arc b..a, whose edges to v move to the new vertex w0 =
-    len(at).  Only the faces at v change, and the two new faces go last, so
-    every position list stays ascending; each entry of `at` that changes
-    is replaced by a new tuple, so the lists' old entries can be shared."""
+    faces: list, at: list[list[int]], v: int, a: int, b: int, cycle: list[int]
+) -> OpRecord:
+    """Split v at a and b, given v's link `cycle`, into v and w0 = len(at) by
+    editing `faces` and `at`, its index (see `_index`), in place.  Return
+    the record: the d = 3 `vertex_split` that moves the link vertices inside
+    the arc b..a to w0, plus a and b.  Only the faces at v change and the
+    new ones go last, so position lists and faces stay ascending."""
     ia = cycle.index(a)
     cyc = cycle[ia:] + cycle[:ia]
     ib = cyc.index(b)
@@ -298,18 +290,16 @@ def _split_faces(
     new = len(faces)
     faces.append((a, v, w0) if a < v else (v, a, w0))
     faces.append((b, v, w0) if b < v else (v, b, w0))
-    at[v] = (*kept, new, new + 1)
-    at[a] += (new,)
-    at[b] += (new + 1,)
-    at.append((*moved, new, new + 1))
-    return cyc[ib + 1 :]
+    at[v] = [*kept, new, new + 1]
+    at[a].append(new)
+    at[b].append(new + 1)
+    at.append([*moved, new, new + 1])
+    params = {"v0": v, "shared": sorted((a, b)), "moved": sorted(cyc[ib + 1 :]), "d": 3}
+    return OpRecord("vsplit", {**params, "a": a, "b": b}, w0, w0 + 1)
 
 
 def generate_triangulation(
-    surface: str,
-    n: int,
-    seed: int,
-    base: Optional[str] = None,
+    surface: str, n: int, seed: int, base: Optional[str] = None
 ) -> tuple[SurfaceTriangulation, list[OpRecord]]:
     """Grow a random triangulation to n vertices by uniformly random
     topological vertex splits; deterministic per seed.  Each step draws an
@@ -320,12 +310,10 @@ def generate_triangulation(
     vertices; these weights are kept across steps and updated where a split
     changes a degree: at v, a, b and the new vertex.
 
-    The splits edit one face list and its index in place, by the face edit
-    of `topological_vertex_split`, and each record is the one that split
-    would give.  The graph is built once, from the final faces, so every
-    output edge passes `Graph`'s checks.  The per-step argument checks of
-    `operations.vertex_split` hold by construction: a and b are two
-    vertices of v's link, and the moved vertices are the rest of one arc.
+    The splits edit one face list and index in place, as in `replay_splits`,
+    and each record is the one `topological_vertex_split` would give.  The
+    checks of those two hold by construction: a and b are two vertices of
+    v's link, and the moved vertices are the rest of one arc.
     """
     if base is None:
         base = "K4" if surface == SPHERE else "K6"
@@ -335,7 +323,8 @@ def generate_triangulation(
     if n < start.n:
         raise ValueError(f"target {n} below base size {start.n}")
     rng = np.random.default_rng(seed)
-    faces, at = list(start.faces), list(start.faces_at)
+    faces = list(start.faces)
+    at = _index(faces, start.n)
     # A vertex of a closed surface lies on as many faces as it has
     # neighbours, so its degree is the length of its index entry.
     weights = [len(x) * (len(x) - 1) for x in at]
@@ -343,14 +332,11 @@ def generate_triangulation(
     for w0 in range(start.n, n):
         cum = list(accumulate(weights))
         v, a, b, cycle = _split_at(faces, at, int(rng.integers(cum[-1])), cum)
-        moved = _split_faces(faces, at, v, a, b, cycle)
-        params = {"v0": v, "shared": sorted((a, b)), "moved": sorted(moved), "d": 3, "a": a, "b": b}
-        records.append(OpRecord("vsplit", params, w0, w0 + 1))
+        records.append(_split_faces(faces, at, v, a, b, cycle))
         weights.append(0)
         for x in (v, a, b, w0):
             weights[x] = len(at[x]) * (len(at[x]) - 1)
-    graph = Graph(n, {e for f in faces for e in combinations(f, 2)})
-    return SurfaceTriangulation(graph, tuple(faces), surface, tuple(at)), records
+    return _assemble(surface, n, faces), records
 
 
 def _split_at(
@@ -363,15 +349,25 @@ def _split_at(
     v = bisect_right(cum, k)
     if v:
         k -= cum[v - 1]
-    cycle = _link(faces, at, v)
+    cycle = _link(faces, at[v], v)
     i, j = divmod(k, len(cycle) - 1)
     return v, cycle[i], cycle[j + (j >= i)], cycle
 
 
-def replay_splits(
-    base: SurfaceTriangulation, records: Sequence[OpRecord]
-) -> SurfaceTriangulation:
-    t = base
-    for rec in records:
-        t, _ = topological_vertex_split(t, rec.params["v0"], rec.params["a"], rec.params["b"])
-    return t
+def replay_splits(base: SurfaceTriangulation, records: Sequence[OpRecord]) -> SurfaceTriangulation:
+    """The triangulation that split records (`v0`, `a`, `b`, as the
+    generator writes them) make from `base`, a valid triangulation with
+    ascending faces.  The splits edit one face list and its index in place,
+    and the graph is built once, from the final faces, so `Graph` checks
+    every edge.  Records may come from JSON, so each split is checked as
+    `topological_vertex_split` checks its arguments, and a record that
+    lacks `v0`, `a` or `b` raises a ValueError naming its position."""
+    faces = list(base.faces)
+    at = _index(faces, base.n)
+    for k, rec in enumerate(records):
+        try:
+            v, a, b = rec.params["v0"], rec.params["a"], rec.params["b"]
+        except KeyError as exc:
+            raise ValueError(f"split record {k} lacks {exc}") from None
+        _checked_split(faces, at, v, a, b)
+    return _assemble(base.surface, len(at), faces)

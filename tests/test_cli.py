@@ -10,7 +10,7 @@ from lqrig.graphs import Graph, complete_graph, wheel_graph
 from lqrig.operations import OpRecord, apply_record, henneberg_generate, one_extension
 from lqrig.oracles import wheel_degenerate_placement
 from lqrig.rank import Verdict, numerical_rank
-from lqrig.surfaces import base_complex
+from lqrig.surfaces import base_complex, replay_splits, validate
 
 # The keys that the analysis report and every scan candidate share.
 VERDICT_KEYS = {
@@ -543,18 +543,27 @@ class TestScan:
         assert "error:" in capsys.readouterr().err
 
     def test_surface_candidates_replay(self, monkeypatch):
+        # Each surface candidate's log, read back from JSON, replays to its
+        # graph both as graph operations and as splits of the base's faces.
         monkeypatch.setattr(cli, "max_rank_samples", flat_verdicts)
-        summary = run_scan(
-            ScanConfig(d=3, q_list=(3.0,), max_n=9, count=2, seed=1, sources=("projective",))
+        config = ScanConfig(
+            d=3, q_list=(3.0,), max_n=9, count=2, seed=1, sources=("sphere", "projective")
         )
+        summary = json.loads(json.dumps(run_scan(config)))
         candidates = summary["candidates"]
-        assert len(candidates) == summary["totals"]["cells"] == 8
-        assert {c["base"] for c in candidates} == {"K6", "K7_minus_K3"}
+        # every graph is a candidate but the two tetrahedra, which have
+        # 2|V| - 2 edges
+        assert summary["totals"]["cells"] == 12 + 8 and len(candidates) == 18
+        assert {c["base"] for c in candidates} == {"K4", "K6", "K7_minus_K3"}
         for c in candidates:
+            graph = Graph.from_json_dict(c["graph"])
+            log = [OpRecord.from_json_dict(obj) for obj in c["log"]]
             g = base_complex(c["base"]).graph
-            for obj in c["log"]:
-                g = apply_record(g, OpRecord.from_json_dict(obj))
-            assert g == Graph.from_json_dict(c["graph"])
+            for rec in log:
+                g = apply_record(g, rec)
+            assert g == graph
+            t = replay_splits(base_complex(c["base"]), log)
+            assert validate(t) and t.graph == graph
 
     def test_near_euclidean_rejected(self):
         with pytest.raises(InputError):

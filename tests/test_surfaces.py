@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from lqrig.surfaces import (
     PROJECTIVE_PLANE,
     SPHERE,
     SurfaceTriangulation,
+    _index,
     _split_at,
     base_complex,
     from_faces,
@@ -200,11 +202,15 @@ class TestSplit:
         v = max(range(t.n), key=t.graph.degree)
         cycle = link_cycle(t, v)
         a, b = cycle[0], cycle[2]
-        out, _ = topological_vertex_split(t, v, a, b)
+        out, rec = topological_vertex_split(t, v, a, b)
         keep = set(cycle[: cycle.index(b) + 1])
         moved = [x for x in cycle if x not in keep and x not in (a, b)]
-        split_graph, _ = vertex_split(t.graph, v, [a, b], moved, d=3)
+        split_graph, split_rec = vertex_split(t.graph, v, [a, b], moved, d=3)
         assert out.graph == split_graph
+        # the record is the graph split's, plus a and b for `replay_splits`
+        assert rec.to_json_dict() == {
+            **split_rec.to_json_dict(), "params": {**split_rec.params, "a": a, "b": b}
+        }
 
     def test_all_candidate_splits_validate(self):
         # the split does not re-check its output; this is the reference
@@ -219,7 +225,8 @@ class TestSplit:
             cands = split_candidates(t)
             cum = list(accumulate(k * (k - 1) for k in map(t.graph.degree, range(t.n))))
             assert cum[-1] == len(cands)
-            drawn = [_split_at(t.faces, t.faces_at, k, cum) for k in range(len(cands))]
+            at = _index(t.faces, t.n)
+            drawn = [_split_at(t.faces, at, k, cum) for k in range(len(cands))]
             assert [split[:3] for split in drawn] == cands
             assert all(cycle == reference_link(t, v) for v, _, _, cycle in drawn)
 
@@ -332,8 +339,8 @@ class TestGeneration:
         # The generator's draws equal an index into the listed candidates,
         # drawn from the same stream, over enough splits that a stale split
         # weight or face index would show; links equal a scan of all faces.
-        # Its in-place edits give the face index and the graph, neighbour set
-        # by neighbour set, of the copy-on-write splits.
+        # Its in-place edits give the faces and the graph, neighbour set by
+        # neighbour set, of the single-step splits.
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             t, log = base_complex(base), []
@@ -343,7 +350,6 @@ class TestGeneration:
                 log.append(rec)
             made, made_log = generate_triangulation(surface, 40, seed, base=base)
             assert made.faces == t.faces
-            assert made.faces_at == t.faces_at
             assert made.graph == t.graph
             assert [made.graph.neighbors(v) for v in range(40)] == [
                 t.graph.neighbors(v) for v in range(40)
@@ -358,18 +364,38 @@ class TestGeneration:
 
     def test_shared_bases_stay_unchanged(self):
         # Every call shares one base complex per name; growing from it and
-        # replaying onto it leave its faces and face index as frozen.
+        # replaying onto it leave its faces and graph as frozen.
         for kind in BASE_NAMES:
             surface = base_complex(kind).surface
             for seed in (0, 1):
                 t, log = generate_triangulation(surface, 30, seed, base=kind)
-                replayed = replay_splits(base_complex(kind), log)
-                assert replayed == t and replayed.faces_at == t.faces_at
+                assert replay_splits(base_complex(kind), log) == t
         for kind, (surface, n, faces) in _BASES.items():
             t = base_complex(kind)
             assert t.faces == faces
-            assert t.faces_at == SurfaceTriangulation(t.graph, faces, surface).faces_at
             assert t.graph == from_faces(surface, n, faces).graph
+
+    @pytest.mark.parametrize("key", ["v0", "a", "b"])
+    def test_replay_names_a_record_without_its_split(self, key):
+        _, log = generate_triangulation(SPHERE, 10, seed=1)
+        log[2] = replace(log[2], params={k: x for k, x in log[2].params.items() if k != key})
+        with pytest.raises(ValueError, match=f"split record 2 lacks '{key}'"):
+            replay_splits(base_complex("K4"), log)
+
+    def test_replay_rejects_bad_splits(self):
+        # A record read from JSON may name any split: replay checks it as
+        # `topological_vertex_split` checks its arguments.
+        t, log = generate_triangulation(PROJECTIVE_PLANE, 12, seed=3)
+        p = log[3].params
+        for bad, message in [
+            ({"b": p["a"]}, "split vertices must be distinct"),
+            ({"b": p["v0"]}, f"{p['a']} and {p['v0']} must lie on the link of {p['v0']}"),
+            ({"a": t.n + 1}, f"{t.n + 1} and {p['b']} must lie on the link of {p['v0']}"),
+            ({"v0": -1}, "vertex -1 lies on no face"),
+        ]:
+            log[3] = replace(log[3], params={**p, **bad})
+            with pytest.raises(ValueError, match=message):
+                replay_splits(base_complex("K6"), log)
 
     def test_base_surface_mismatch(self):
         with pytest.raises(ValueError, match="complex"):
