@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import groupby, product
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -187,27 +188,20 @@ class ScanConfig:
             )
 
 
-def _scan_instances(config: ScanConfig) -> list[dict]:
-    """Generate the graphs to scan; each instance carries its replay data."""
+def _scan_instances(config: ScanConfig) -> Iterator[dict]:
+    """Yield the graphs to scan by source, then n, then i, each with its
+    replay data: `source, n, seed, base, graph, log`.  `base` names the
+    complex a surface log starts from and is None elsewhere; `log` holds
+    the `OpRecord`s.  Each child seed is drawn from the master generator
+    just before its graph is made."""
     master = np.random.default_rng(config.seed)
-    instances = []
-
-    def child() -> int:
-        return int(master.integers(2**63))
-
     for source in config.sources:
         src = SOURCES[source]
         for n in range(src.lo(config.d), config.max_n + 1):
             for i in range(config.count):
-                s = child()
+                s = int(master.integers(2**63))
                 g, log, base = src.make(config.d, n, s, i)
-                inst: dict = {"source": source, "n": n, "seed": s}
-                if base is not None:
-                    inst["base"] = base
-                inst["graph"] = g
-                inst["log"] = [r.to_json_dict() for r in log]
-                instances.append(inst)
-    return instances
+                yield {"source": source, "n": n, "seed": s, "base": base, "graph": g, "log": log}
 
 
 def run_scan(config: ScanConfig) -> dict:
@@ -218,35 +212,39 @@ def run_scan(config: ScanConfig) -> dict:
     rank-deficient cells are dumped as replayable candidate counterexamples;
     unstable cells are "marginal".  Candidates are reported, never
     auto-classified as disproofs.
+
+    The instances of one (source, n) are judged in one `max_rank_samples`
+    call and tallied at once, so memory is bounded by one such block; each
+    verdict is the one its cell gets alone, so the blocks do not change it.
     """
-    instances = _scan_instances(config)
-    cells = list(product(instances, config.q_list))
-    verdicts = max_rank_samples(
-        [(inst["graph"], LqSpace(config.d, q), inst["seed"]) for inst, q in cells],
-        config.trials,
-        config.rel_tol,
-    )
-    predicted = 0
-    marginal = 0
+    graphs = predicted = marginal = 0
     candidates = []
-    for (inst, q), vd in zip(cells, verdicts):
-        g = inst["graph"]
-        if not vd.stable:
-            marginal += 1
-        elif vd.independent:
-            predicted += 1
-        else:
-            candidates.append(
-                {
-                    **inst,
-                    "base": inst.get("base"),
-                    "graph": g.to_json_dict(),
-                    "q": q,
-                    "d": config.d,
-                    "trials": config.trials,
-                    **vd.to_json_dict(),
-                }
-            )
+    for _, block in groupby(_scan_instances(config), key=itemgetter("source", "n")):
+        block = list(block)
+        graphs += len(block)
+        cells = list(product(block, config.q_list))
+        verdicts = max_rank_samples(
+            [(inst["graph"], LqSpace(config.d, q), inst["seed"]) for inst, q in cells],
+            config.trials,
+            config.rel_tol,
+        )
+        for (inst, q), vd in zip(cells, verdicts):
+            if not vd.stable:
+                marginal += 1
+            elif vd.independent:
+                predicted += 1
+            else:
+                candidates.append(
+                    {
+                        **inst,
+                        "graph": inst["graph"].to_json_dict(),
+                        "log": [r.to_json_dict() for r in inst["log"]],
+                        "q": q,
+                        "d": config.d,
+                        "trials": config.trials,
+                        **vd.to_json_dict(),
+                    }
+                )
 
     return {
         "d": config.d,
@@ -257,8 +255,8 @@ def run_scan(config: ScanConfig) -> dict:
         "seed": config.seed,
         "trials": config.trials,
         "totals": {
-            "cells": len(instances) * len(config.q_list),
-            "graphs": len(instances),
+            "cells": graphs * len(config.q_list),
+            "graphs": graphs,
             "predicted": predicted,
             "candidates": len(candidates),
             "marginal": marginal,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, json_int
 
 #: conjecture-facing code refuses exponents closer to the Euclidean point
 #: than this gap unless explicitly overridden.
@@ -98,7 +98,7 @@ class Placement:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Placement":
         try:
-            d = int(obj["d"])
+            d = json_int(obj["d"])
             coords = [[float(x) for x in row] for row in obj["coords"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed placement object: {exc}") from exc

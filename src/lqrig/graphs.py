@@ -192,11 +192,19 @@ class Graph:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Graph":
         try:
-            n = int(obj["n"])
-            edges = [(int(u), int(v)) for u, v in obj["edges"]]
+            n = json_int(obj["n"])
+            edges = [(json_int(u), json_int(v)) for u, v in obj["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed graph object: {exc}") from exc
         return cls(n, edges)
+
+
+def json_int(value: object) -> int:
+    """An integer field of a JSON object, which must be an int: a float or
+    a bool raises `TypeError` rather than being truncated."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # -- factories --------------------------------------------------------------

@@ -20,6 +20,7 @@ from .graphs import (
     _PebbleGame,
     complete_graph,
     edge_addable,
+    json_int,
     with_addable_edge,
 )
 
@@ -41,7 +42,12 @@ class OpRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "OpRecord":
-        return cls(obj["kind"], dict(obj["params"]), int(obj["before_n"]), int(obj["after_n"]))
+        try:
+            kind, params = obj["kind"], dict(obj["params"])
+            before_n, after_n = json_int(obj["before_n"]), json_int(obj["after_n"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed operation record object: {exc}") from exc
+        return cls(kind, params, before_n, after_n)
 
 
 def _check_vertices(g: Graph, vs: Sequence[int], what: str) -> None:

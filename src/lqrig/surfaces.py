@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, json_int
 from .operations import OpRecord, vertex_split
 
 SPHERE = "sphere"
@@ -93,8 +93,8 @@ class SurfaceTriangulation:
     def from_json_dict(cls, obj: dict) -> "SurfaceTriangulation":
         try:
             surface = str(obj["surface"])
-            n = int(obj["n"])
-            faces = [tuple(sorted(int(x) for x in f)) for f in obj["faces"]]
+            n = json_int(obj["n"])
+            faces = [tuple(sorted(json_int(x) for x in f)) for f in obj["faces"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed triangulation object: {exc}") from exc
         t = from_faces(surface, n, faces)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,8 +118,14 @@ class TestAnalyze:
         bad.write_text("{not json")
         code = main(["analyze", "--graph", str(bad), "-d", "2", "-q", "3"])
         assert code == 2
-        bad.write_text(json.dumps({"n": 2, "edges": [[0, 0]]}))
-        assert main(["analyze", "--graph", str(bad), "-d", "2", "-q", "3"]) == 2
+        # A float or bool vertex is rejected, not truncated to another graph.
+        for obj in [
+            {"n": 2, "edges": [[0, 0]]},
+            {"n": 3.9, "edges": [[0.9, 2], [True, 2]]},
+            {"n": 3, "edges": [[0, 2], [True, 2]]},
+        ]:
+            bad.write_text(json.dumps(obj))
+            assert main(["analyze", "--graph", str(bad), "-d", "2", "-q", "3"]) == 2
 
     def test_ill_positioned_placement_exits_3(self, tmp_path, capsys):
         gfile = tmp_path / "g.json"
@@ -511,17 +518,16 @@ class TestScan:
 
     def test_pinned_instances(self):
         config = ScanConfig(d=3, q_list=(3.0,), max_n=7, count=2, seed=1, sources=ALL_SOURCES)
-        instances = cli._scan_instances(config)
+        instances = list(cli._scan_instances(config))
         assert [
             (
-                inst["source"], inst["n"], inst["seed"], inst.get("base"),
+                inst["source"], inst["n"], inst["seed"], inst["base"],
                 " ".join(f"{u}{v}" for u, v in inst["graph"].edges),
             )
             for inst in instances
         ] == self.PINNED_INSTANCES
         for inst in instances:
-            base = {"base"} if inst["source"] in ("sphere", "projective") else set()
-            assert set(inst) == {"source", "n", "seed", "graph", "log"} | base
+            assert list(inst) == ["source", "n", "seed", "base", "graph", "log"]
 
     def test_candidate_json_round_trip(self, monkeypatch):
         monkeypatch.setattr(cli, "max_rank_samples", flat_verdicts)
@@ -531,10 +537,28 @@ class TestScan:
         assert len(candidates) == summary["totals"]["candidates"] > 0
         for c in candidates:
             assert CANDIDATE_KEYS <= set(c)
+            assert list(c)[:9] == ["source", "n", "seed", "base", "graph", "log", "q", "d", "trials"]
             assert c["stable"] and not c["independent"]
             assert c["edge_count"] == len(c["graph"]["edges"])
             assert witness_rank(c) == c["rank"] < c["edge_count"]
             assert (c["base"] is None) == (c["source"] not in ("sphere", "projective"))
+
+    def test_memory_bounded_by_one_block(self):
+        # The scan keeps one (source, n) block of instances and verdicts, so
+        # three more sources add little traced memory to a sphere-only scan.
+        def peak(sources):
+            config = ScanConfig(
+                d=3, q_list=(1.5, 3.0), max_n=14, count=20, seed=1, sources=sources
+            )
+            tracemalloc.start()
+            try:
+                run_scan(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sphere = peak(("sphere",))
+        assert peak(ALL_SOURCES) <= 1.25 * sphere
 
     @pytest.mark.parametrize("flag,value", BAD_SAMPLING)
     def test_bad_sampling_flag_exit_2(self, flag, value, capsys):

@@ -225,6 +225,9 @@ class TestSpacesAndPlacements:
             Placement(2, [[0.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(ValueError):
             Placement(2, [[0.0], [1.0]])
+        for d in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="malformed placement object"):
+                Placement.from_json_dict({"d": d, "coords": [[0.0, 0.0], [1.0, 1.0]]})
 
     def test_placement_well_positioned(self):
         g = Graph(2, [(0, 1)])

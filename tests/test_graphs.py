@@ -141,6 +141,15 @@ class TestGraph:
             Graph.from_json_dict({"n": 3})
         with pytest.raises(ValueError):
             Graph.from_json_dict({"n": 2, "edges": [[0, 0]]})
+        # a float or bool field is rejected, never truncated
+        for obj in [
+            {"n": 3.9, "edges": [[0, 2]]},
+            {"n": 3, "edges": [[0.9, 2]]},
+            {"n": 3, "edges": [[True, 2]]},
+            {"n": True, "edges": []},
+        ]:
+            with pytest.raises(ValueError, match="malformed graph object"):
+                Graph.from_json_dict(obj)
 
     def test_delete_vertex_reindexes(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])

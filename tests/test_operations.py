@@ -490,6 +490,10 @@ class TestRecords:
     def test_log_json_round_trip(self):
         _, log = henneberg_generate(3, 9, seed=2)
         assert log and json_round_trip(log) == log
+        obj = log[0].to_json_dict()
+        for key, value in [("before_n", 6.5), ("after_n", 7.0), ("after_n", True)]:
+            with pytest.raises(ValueError, match="malformed operation record object"):
+                OpRecord.from_json_dict({**obj, key: value})
 
     def test_every_record_replays(self):
         g = wheel_graph(5)

@@ -416,3 +416,12 @@ class TestJson:
         obj["faces"] = obj["faces"][:-1]
         with pytest.raises(ValueError, match="invalid triangulation"):
             SurfaceTriangulation.from_json_dict(obj)
+        # a float or bool field is rejected, never truncated
+        obj = t.to_json_dict()
+        for bad in [
+            {**obj, "n": 4.5},
+            {**obj, "faces": [[0.5, 1, 2]] + obj["faces"][1:]},
+            {**obj, "faces": [[0, True, 2]] + obj["faces"][1:]},
+        ]:
+            with pytest.raises(ValueError, match="malformed triangulation object"):
+                SurfaceTriangulation.from_json_dict(bad)
