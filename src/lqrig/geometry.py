@@ -99,10 +99,18 @@ class Placement:
     def from_json_dict(cls, obj: dict) -> "Placement":
         try:
             d = json_int(obj["d"])
-            coords = [[float(x) for x in row] for row in obj["coords"]]
+            coords = [[_json_number(x) for x in row] for row in obj["coords"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed placement object: {exc}") from exc
         return cls(d, np.array(coords, dtype=float).reshape(len(coords), d))
+
+
+def _json_number(value: object) -> float:
+    """A coordinate of a JSON placement, which must be an int or a float: a
+    string or a bool raises `TypeError` rather than being converted."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _ends(g: Graph) -> np.ndarray:

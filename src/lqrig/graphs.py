@@ -10,6 +10,14 @@ for a graph built from an edge list and for one derived from another
 (`with_edge`, `with_vertex`, the operations of `operations`): deriving
 costs one C-level copy of the parent's tuple of neighbour sets plus time
 in the number of edges added or removed.
+
+Sparsity is decided by a pebble game played once per graph and count and
+kept on the graph.  The game counts its free pebbles, so a query that
+needs more than it holds, as every `edge_addable` query on a tight graph
+does, is refused before any copy or search.  A graph made by
+`with_addable_edge` or `isolated_at` is handed a copy of its parent's game,
+grown by the new edge or with the vertex's edges deleted, and never plays
+its own.
 """
 
 from __future__ import annotations
@@ -266,7 +274,8 @@ class _PebbleGame:
     oriented away from the vertex that paid.  Pebbles travel backwards along
     oriented paths (path reversal).  An edge multiset is (k, l)-sparse iff
     every insertion is accepted; acceptance is independent of the order of
-    insertions and of the search choices.
+    insertions and of the search choices.  `free` counts the pebbles on all
+    vertices, so a pair that needs more than that is refused at once.
     """
 
     def __init__(self, n: int, k: int, l: int):
@@ -274,39 +283,54 @@ class _PebbleGame:
         self.k = k
         self.l = l
         self.pebbles = [k] * n
+        self.free = k * n
         self.out: list[list[int]] = [[] for _ in range(n)]
+        self._scratch()
+
+    def _scratch(self) -> None:
+        # Search marks of `_free_pebble`, private to this game: vertex w
+        # was reached in the current search iff seen[w] equals its number,
+        # and then from parent[w].
+        self._searches = 0
+        self._seen = [0] * self.n
+        self._parent = [0] * self.n
 
     def _free_pebble(self, root: int, hold: int) -> bool:
         """Move one pebble onto `root` if reachable, treating `hold` as off-limits."""
-        parent: dict[int, Optional[int]] = {root: None, hold: None}
+        self._searches += 1
+        mark, seen, parent = self._searches, self._seen, self._parent
+        out, pebbles = self.out, self.pebbles
+        seen[root] = seen[hold] = mark
         stack = [root]
         found = -1
         while stack and found < 0:
             u = stack.pop()
-            for w in self.out[u]:
-                if w in parent:
+            for w in out[u]:
+                if seen[w] == mark:
                     continue
+                seen[w] = mark
                 parent[w] = u
-                if self.pebbles[w] > 0:
+                if pebbles[w] > 0:
                     found = w
                     break
                 stack.append(w)
         if found < 0:
             return False
         w = found
-        while True:
+        while w != root:
             u = parent[w]
-            if u is None:
-                break
-            self.out[u].remove(w)
-            self.out[w].append(u)
+            out[u].remove(w)
+            out[w].append(u)
             w = u
-        self.pebbles[found] -= 1
-        self.pebbles[root] += 1
+        pebbles[found] -= 1
+        pebbles[root] += 1
         return True
 
     def collect(self, u: int, v: int, need: int) -> bool:
-        """Gather `need` pebbles on the pair {u, v}."""
+        """Gather `need` pebbles on the pair {u, v}; False at once when the
+        whole game holds fewer."""
+        if self.free < need:
+            return False
         while self.pebbles[u] + self.pebbles[v] < need:
             if not (self._free_pebble(u, v) or self._free_pebble(v, u)):
                 return False
@@ -328,12 +352,25 @@ class _PebbleGame:
             else:
                 self.pebbles[v] -= 1
                 self.out[v].append(u)
+        self.free -= copies
         return True
+
+    def delete(self, u: int, v: int) -> None:
+        """Delete one copy of the edge uv, putting its pebble back on the
+        vertex that paid for it.  On every vertex set, pebbles plus edges
+        inside plus edges leaving still make k times its size, so the game
+        is one the remaining edges could have reached."""
+        if v not in self.out[u]:
+            u, v = v, u
+        self.out[u].remove(v)
+        self.pebbles[u] += 1
+        self.free += 1
 
     def copy(self) -> "_PebbleGame":
         """An independent game in the same state (O(n + m))."""
         other = copy.copy(self)
         other.pebbles, other.out = self.pebbles[:], [o[:] for o in self.out]
+        other._scratch()
         return other
 
 
@@ -381,8 +418,9 @@ def is_tight(g: Graph, d: int) -> bool:
 
 def _grown_game(g: Graph, d: int, x: int, y: int) -> Optional[_PebbleGame]:
     """A copy of g's (d,d) game with xy inserted, None when xy is an edge or
-    g + xy is not (d,d)-sparse, as when g's pass refused an edge.  Endpoints
-    outside 0..n-1 raise ValueError."""
+    g + xy is not (d,d)-sparse.  No copy is made when g's pass refused an
+    edge or its game holds fewer than d+1 free pebbles, as a tight graph's
+    does.  Endpoints outside 0..n-1 raise ValueError."""
     if x == y:
         raise ValueError("endpoints must be distinct")
     if not (0 <= x < g.n and 0 <= y < g.n):
@@ -390,7 +428,7 @@ def _grown_game(g: Graph, d: int, x: int, y: int) -> Optional[_PebbleGame]:
     if g.has_edge(x, y):
         return None
     game, taken = _loaded(g, d, d, 1)
-    if len(taken) < g.m:
+    if len(taken) < g.m or game.free < d + 1:
         return None
     game = game.copy()
     return game if game.insert(x, y) else None
@@ -401,9 +439,11 @@ def edge_addable(g: Graph, d: int, x: int, y: int) -> bool:
 
     Equivalently: no critical set (i(U) = d|U| - d, |U| > 1) contains both
     x and y.  Decided by gathering d+1 pebbles on {x, y} in a copy of the
-    (d,d) game that `is_sparse` keeps; when its pass refused an edge, g is
-    not sparse and no copy is made.  The critical set is never
-    materialized.  Endpoints outside 0..n-1 raise ValueError.
+    (d,d) game that `is_sparse` keeps.  No copy is made when the answer is
+    known before: when its pass refused an edge (g is not sparse) or when
+    the game holds at most d free pebbles (as on a tight graph, which has
+    exactly d).  The critical set is never materialized.  Endpoints outside
+    0..n-1 raise ValueError.
     """
     return _grown_game(g, d, x, y) is not None
 
@@ -417,4 +457,19 @@ def with_addable_edge(g: Graph, d: int, x: int, y: int) -> Optional[Graph]:
         return None
     out = g.with_edge(x, y)
     out._games[(d, d, 1)] = (game, tuple(range(out.m)))
+    return out
+
+
+def isolated_at(g: Graph, d: int, v: int) -> Graph:
+    """`g.without_edges_at(v)`.  When g's (d,d) pass took every edge, the
+    new graph is given a copy of that game with v's edges deleted as its
+    (d,d) record, so it never plays that game itself; otherwise it plays
+    its own on first query."""
+    out = g.without_edges_at(v)
+    game, taken = _loaded(g, d, d, 1)
+    if len(taken) == g.m:
+        game = game.copy()
+        for w in g.neighbors(v):
+            game.delete(v, w)
+        out._games[(d, d, 1)] = (game, tuple(range(out.m)))
     return out

@@ -4,13 +4,19 @@ Every operation is a pure function returning a new graph together with an
 OpRecord whose parameters suffice to replay it.  New vertices always take
 the next free index; `substitute` and 1-reductions renumber and record the
 layout they used.
+
+`henneberg_generate` and `henneberg_replay` do not go through those
+functions step by step: they grow one list of neighbour sets in place by
+`_extend`, which runs the checks of `zero_extension` and `one_extension`,
+and build one graph at the end.  So the replay takes only the ext0 and
+ext1 records the generator writes; `apply_record` replays any kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +26,7 @@ from .graphs import (
     _PebbleGame,
     complete_graph,
     edge_addable,
+    isolated_at,
     json_int,
     with_addable_edge,
 )
@@ -50,11 +57,11 @@ class OpRecord:
         return cls(kind, params, before_n, after_n)
 
 
-def _check_vertices(g: Graph, vs: Sequence[int], what: str) -> None:
+def _check_vertices(n: int, vs: Sequence[int], what: str) -> None:
     if len(set(vs)) != len(vs):
         raise ValueError(f"{what} contains repeated vertices")
     for v in vs:
-        if not (0 <= v < g.n):
+        if not (0 <= v < n):
             raise ValueError(f"{what} vertex {v} out of range")
 
 
@@ -71,18 +78,65 @@ def brace(g: Graph, s: Sequence[int], d: int) -> tuple[Graph, OpRecord]:
         raise ValueError(f"bracing needs at least {2 * d} vertices")
     if len(s) != 2 * d:
         raise ValueError(f"bracing set must have exactly {2 * d} vertices, got {len(s)}")
-    _check_vertices(g, s, "bracing set")
+    _check_vertices(g.n, s, "bracing set")
     v0, v1 = g.n, g.n + 1
     out = g._derive(g.n + 2, [(w, v0) for w in s] + [(w, v1) for w in s] + [(v0, v1)])
     return out, OpRecord("brace", {"s": sorted(s), "d": d}, g.n, out.n)
 
 
+def _check_extension(
+    adj: Sequence[Collection[int]], nbrs: list[int], removed: Optional[Sequence[int]], d: int
+) -> Optional[tuple[int, int]]:
+    """Raise ValueError unless a new vertex may join `nbrs` in the graph
+    with neighbour sets `adj`: by a 0-extension when `removed` is None,
+    else by a 1-extension deleting the edge `removed`, which it returns as
+    (x, y) with x < y.  The checks of `zero_extension`, `one_extension` and
+    `_extend`."""
+    if removed is None:
+        if len(nbrs) != d:
+            raise ValueError(f"0-extension set must have exactly {d} vertices, got {len(nbrs)}")
+        _check_vertices(len(adj), nbrs, "0-extension set")
+        return None
+    if len(nbrs) != d + 1:
+        raise ValueError(f"1-extension needs exactly {d + 1} neighbours, got {len(nbrs)}")
+    _check_vertices(len(adj), nbrs, "1-extension neighbours")
+    x, y = min(removed), max(removed)
+    if not (0 <= x < len(adj) and y in adj[x]):
+        raise ValueError(f"removed pair {(x, y)} is not an edge")
+    if x not in nbrs or y not in nbrs:
+        raise ValueError("removed edge endpoints must lie among the neighbours")
+    return x, y
+
+
+def _extend(adj: list[set[int]], nbrs: list[int], removed: Optional[Sequence[int]], d: int) -> None:
+    """The 0-extension (`removed` None) or 1-extension of `zero_extension`
+    and `one_extension`, with their checks, made in place on `adj`, a list
+    of mutable neighbour sets: the new vertex is len(adj)."""
+    pair = _check_extension(adj, nbrs, removed, d)
+    if pair is not None:
+        x, y = pair
+        adj[x].remove(y)
+        adj[y].remove(x)
+    w = len(adj)
+    for u in nbrs:
+        adj[u].add(w)
+    adj.append(set(nbrs))
+
+
+def _graph(adj: list[set[int]]) -> Graph:
+    """The graph with neighbour sets `adj`, every edge checked."""
+    return Graph(len(adj), [(u, w) for w, nbrs in enumerate(adj) for u in nbrs if u < w])
+
+
+def _complete(k: int) -> list[set[int]]:
+    """Mutable neighbour sets of K_k."""
+    return [set(a) for a in complete_graph(k)._adj]
+
+
 def zero_extension(g: Graph, s: Sequence[int], d: int) -> tuple[Graph, OpRecord]:
     """Add one vertex adjacent to exactly the d vertices of `s`."""
     s = list(s)
-    if len(s) != d:
-        raise ValueError(f"0-extension set must have exactly {d} vertices, got {len(s)}")
-    _check_vertices(g, s, "0-extension set")
+    _check_extension(g._adj, s, None, d)
     out = g.with_vertex(s)
     return out, OpRecord("ext0", {"s": sorted(s), "d": d}, g.n, out.n)
 
@@ -92,14 +146,7 @@ def one_extension(
 ) -> tuple[Graph, OpRecord]:
     """Delete `removed` and add a vertex adjacent to the d+1 vertices `nbrs`."""
     nbrs = list(nbrs)
-    if len(nbrs) != d + 1:
-        raise ValueError(f"1-extension needs exactly {d + 1} neighbours, got {len(nbrs)}")
-    _check_vertices(g, nbrs, "1-extension neighbours")
-    x, y = min(removed), max(removed)
-    if not g.has_edge(x, y):
-        raise ValueError(f"removed pair {(x, y)} is not an edge")
-    if x not in nbrs or y not in nbrs:
-        raise ValueError("removed edge endpoints must lie among the neighbours")
+    x, y = _check_extension(g._adj, nbrs, removed, d)
     out = g._derive(g.n + 1, [(w, g.n) for w in nbrs], [(x, y)])
     return out, OpRecord(
         "ext1", {"nbrs": sorted(nbrs), "removed": [x, y], "d": d}, g.n, out.n
@@ -125,9 +172,9 @@ def vertex_split(
     want = d if spider else d - 1
     if len(shared) != want:
         raise ValueError(f"expected {want} shared neighbours, got {len(shared)}")
-    _check_vertices(g, [v0], "split vertex")
-    _check_vertices(g, shared, "shared set")
-    _check_vertices(g, moved, "moved set")
+    _check_vertices(g.n, [v0], "split vertex")
+    _check_vertices(g.n, shared, "shared set")
+    _check_vertices(g.n, moved, "moved set")
     nbrs = g.neighbors(v0)
     if not set(shared) <= nbrs:
         raise ValueError("shared vertices must be neighbours of the split vertex")
@@ -158,7 +205,7 @@ def substitute(
     their index, those above shift down by one, and the copy of h occupies
     the top |V(h)| indices.
     """
-    _check_vertices(g, [v0], "substituted vertex")
+    _check_vertices(g.n, [v0], "substituted vertex")
     if h.n < 1:
         raise ValueError("substituted graph must be nonempty")
     nbrs = sorted(g.neighbors(v0))
@@ -191,7 +238,7 @@ def substitute(
 
 
 def _check_reduction_vertex(g: Graph, v: int, d: int) -> None:
-    _check_vertices(g, [v], "reduction")
+    _check_vertices(g.n, [v], "reduction")
     if g.degree(v) != d + 1:
         raise ValueError(f"vertex {v} has degree {g.degree(v)}, need {d + 1}")
 
@@ -202,7 +249,7 @@ def one_reduction_search(g: Graph, v: int, d: int) -> Optional[tuple[int, int]]:
     qualifies.  For d >= 3 with all neighbour degrees <= d+2, None implies
     the closed neighbourhood of v is K_{d+2}."""
     _check_reduction_vertex(g, v, d)
-    masked = g.without_edges_at(v)
+    masked = isolated_at(g, d, v)
     for x, y in combinations(sorted(g.neighbors(v)), 2):
         if g.has_edge(x, y):
             continue
@@ -293,36 +340,54 @@ def henneberg_generate(d: int, n: int, seed: int) -> tuple[Graph, list[OpRecord]
     1-extension falls back to a 0-extension when no sampled neighbour set
     contains an edge.  Both moves preserve (d,d)-tightness, so the output
     is (d,d)-tight by construction.  Deterministic per seed.
+
+    The steps grow one list of neighbour sets in place through `_extend`,
+    with the checks and records of `zero_extension` and `one_extension`,
+    and one `Graph` is built at the end.
     """
     if d < 1:
         raise ValueError("d must be positive")
     if n < 2 * d:
         raise ValueError(f"need n >= {2 * d}")
     rng = np.random.default_rng(seed)
-    g = complete_graph(2 * d)
+    adj = _complete(2 * d)
     records: list[OpRecord] = []
-    while g.n < n:
+    for w in range(2 * d, n):
         rec = None
         if rng.random() < 0.5:
             for _ in range(20):
-                sample = sorted(int(x) for x in rng.choice(g.n, size=d + 1, replace=False))
-                inside = [e for e in combinations(sample, 2) if g.has_edge(*e)]
+                sample = sorted(rng.choice(w, size=d + 1, replace=False).tolist())
+                inside = [(x, y) for x, y in combinations(sample, 2) if y in adj[x]]
                 if inside:
-                    removed = inside[int(rng.integers(len(inside)))]
-                    g, rec = one_extension(g, sample, removed, d)
+                    x, y = inside[int(rng.integers(len(inside)))]
+                    _extend(adj, sample, (x, y), d)
+                    rec = OpRecord("ext1", {"nbrs": sample, "removed": [x, y], "d": d}, w, w + 1)
                     break
         if rec is None:
-            s = sorted(int(x) for x in rng.choice(g.n, size=d, replace=False))
-            g, rec = zero_extension(g, s, d)
+            s = sorted(rng.choice(w, size=d, replace=False).tolist())
+            _extend(adj, s, None, d)
+            rec = OpRecord("ext0", {"s": s, "d": d}, w, w + 1)
         records.append(rec)
-    return g, records
+    return _graph(adj), records
 
 
 def henneberg_replay(d: int, records: Sequence[OpRecord]) -> Graph:
-    g = complete_graph(2 * d)
-    for rec in records:
-        g = apply_record(g, rec)
-    return g
+    """Replay a `henneberg_generate` log from K_{2d}: each record is a 0- or
+    1-extension, checked and made in place as in generation, with the d
+    it carries.  Any other kind raises ValueError; `apply_record` replays
+    those one step at a time."""
+    adj = _complete(2 * d)
+    for i, rec in enumerate(records):
+        p = rec.params
+        if rec.kind == "ext0":
+            _extend(adj, list(p["s"]), None, p["d"])
+        elif rec.kind == "ext1":
+            _extend(adj, list(p["nbrs"]), tuple(p["removed"]), p["d"])
+        else:
+            raise ValueError(
+                f"record {i} is a {rec.kind!r} operation; henneberg_replay takes only 'ext0' and 'ext1'"
+            )
+    return _graph(adj)
 
 
 def random_degree_bounded_sparse(d: int, n: int, seed: int) -> Graph:

@@ -127,6 +127,15 @@ class TestAnalyze:
             bad.write_text(json.dumps(obj))
             assert main(["analyze", "--graph", str(bad), "-d", "2", "-q", "3"]) == 2
 
+    def test_malformed_placement_exits_2(self, wheel_file, tmp_path, capsys):
+        pfile = tmp_path / "p.json"
+        argv = ["analyze", "--graph", wheel_file, "-d", "2", "-q", "3", "--placement", str(pfile)]
+        coords = wheel_degenerate_placement().to_json_dict()["coords"]
+        for bad in ([str(x) for x in coords[0]], [True, False]):
+            pfile.write_text(json.dumps({"d": 2, "coords": [bad, *coords[1:]]}))
+            assert main(argv) == 2, bad
+        assert "malformed placement object" in capsys.readouterr().err
+
     def test_ill_positioned_placement_exits_3(self, tmp_path, capsys):
         gfile = tmp_path / "g.json"
         gfile.write_text(json.dumps(Graph(2, [(0, 1)]).to_json_dict()))

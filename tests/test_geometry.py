@@ -228,6 +228,12 @@ class TestSpacesAndPlacements:
         for d in (2.5, 2.0, True):
             with pytest.raises(ValueError, match="malformed placement object"):
                 Placement.from_json_dict({"d": d, "coords": [[0.0, 0.0], [1.0, 1.0]]})
+        # A string or bool coordinate is rejected, not read as a number.
+        for coords in ([["1.5", 0.0], [2.0, 1.0]], [[1.5, True], [2.0, False]], ["12", "34"]):
+            with pytest.raises(ValueError, match="malformed placement object"):
+                Placement.from_json_dict({"d": 2, "coords": coords})
+        mixed = Placement.from_json_dict({"d": 2, "coords": [[1, 2.5], [-3, 0]]})
+        assert mixed.coords.tolist() == [[1.0, 2.5], [-3.0, 0.0]]
 
     def test_placement_well_positioned(self):
         g = Graph(2, [(0, 1)])

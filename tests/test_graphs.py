@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lqrig.graphs import (
     Graph,
     SparsityParams,
+    _PebbleGame,
     complete_graph,
     count_basis,
     count_rank,
@@ -18,10 +19,12 @@ from lqrig.graphs import (
     f_count,
     is_sparse,
     is_tight,
+    isolated_at,
     path_graph,
     wheel_graph,
     with_addable_edge,
 )
+from lqrig.operations import one_reduction_search
 
 from bruteforce import (
     all_graphs,
@@ -279,8 +282,11 @@ def non_edges(g):
 
 
 def game_state(g):
-    """Pebbles, orientation and taken edges of every game played on g."""
-    return {key: (game.pebbles[:], [o[:] for o in game.out], taken) for key, (game, taken) in g._games.items()}
+    """Pebbles, free count, orientation and taken edges of every game played on g."""
+    return {
+        key: (game.pebbles[:], game.free, [o[:] for o in game.out], taken)
+        for key, (game, taken) in g._games.items()
+    }
 
 
 class TestPebbleCache:
@@ -353,6 +359,39 @@ class TestPebbleCache:
                 assert got == [edge_addable(fresh, d, a, b) for a, b in pairs], (edges, x, y)
             assert game_state(g) == state, edges
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_reduction_masks_take_the_parents_game(self, small_classes, d):
+        for n, edges in small_classes:
+            g = Graph(n, edges)
+            sparse = is_sparse(g, SparsityParams(d, d))
+            state = game_state(g)
+            for v in range(n):
+                masked = isolated_at(g, d, v)
+                fresh = Graph(n, g.without_edges_at(v).edges)
+                assert masked == fresh and (list(masked._games) == [(d, d, 1)]) == sparse
+                pairs = non_edges(masked)
+                got = [edge_addable(masked, d, x, y) for x, y in pairs]
+                assert got == [edge_addable(fresh, d, x, y) for x, y in pairs], (edges, v)
+                if g.degree(v) != d + 1:
+                    continue
+                link = [(x, y) for x, y in non_edges(g) if {x, y} <= g.neighbors(v)]
+                want = next((e for e in link if edge_addable(Graph(n, fresh.edges), d, *e)), None)
+                assert one_reduction_search(g, v, d) == want, (edges, v)
+            assert game_state(g) == state, edges
+
+    def test_tight_graph_answers_without_a_search(self, small_classes, monkeypatch):
+        tight = [(Graph(n, edges), d) for n, edges in small_classes for d in (1, 2, 3)]
+        tight = [(g, d) for g, d in tight if is_tight(g, d) and non_edges(g)]
+        assert len(tight) > 20
+
+        def refuse(*args):
+            raise AssertionError("the game searched or was copied")
+
+        monkeypatch.setattr(_PebbleGame, "_free_pebble", refuse)
+        monkeypatch.setattr(_PebbleGame, "copy", refuse)
+        for g, d in tight:
+            assert not any(edge_addable(g, d, x, y) for x, y in non_edges(g)), g.edges
+
     def test_identity_unaffected(self):
         fresh = wheel_graph(6)
         queried = wheel_graph(6)
@@ -389,6 +428,27 @@ class TestPebbleCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_free_counts_the_pebbles(data):
+    n = data.draw(st.integers(2, 7))
+    k = data.draw(st.integers(1, 3))
+    games = [_PebbleGame(n, k, data.draw(st.integers(0, 2 * k - 1)))]
+    for _ in range(data.draw(st.integers(0, 30))):
+        game = data.draw(st.sampled_from(games))
+        step = data.draw(st.sampled_from(["insert", "delete", "copy"]))
+        if step == "copy":
+            games.append(game.copy())
+        elif step == "insert":
+            u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            game.insert(u, v, data.draw(st.integers(1, 2)))
+        else:
+            placed = [(u, w) for u in range(n) for w in game.out[u]]
+            if placed:
+                game.delete(*data.draw(st.sampled_from(placed)))
+        assert [g.free for g in games] == [sum(g.pebbles) for g in games]
 
 
 def greedy_basis(g, params):

@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 from dataclasses import fields
 from itertools import combinations
 
@@ -349,6 +350,81 @@ class TestHenneberg:
                 for i, (kind, params) in enumerate(steps)
             ]
             assert henneberg_replay(d, log) == g
+
+
+def reference_henneberg(d, n, seed):
+    """`henneberg_generate` as a loop of copy-on-write `one_extension` and
+    `zero_extension` steps, each on the `Graph` the step before made."""
+    rng = np.random.default_rng(seed)
+    g = complete_graph(2 * d)
+    records = []
+    while g.n < n:
+        rec = None
+        if rng.random() < 0.5:
+            for _ in range(20):
+                sample = sorted(int(x) for x in rng.choice(g.n, size=d + 1, replace=False))
+                inside = [e for e in combinations(sample, 2) if g.has_edge(*e)]
+                if inside:
+                    removed = inside[int(rng.integers(len(inside)))]
+                    g, rec = one_extension(g, sample, removed, d)
+                    break
+        if rec is None:
+            s = sorted(int(x) for x in rng.choice(g.n, size=d, replace=False))
+            g, rec = zero_extension(g, s, d)
+        records.append(rec)
+    return g, records
+
+
+def ext0(s, d=3):
+    return OpRecord("ext0", {"s": s, "d": d}, 0, 0)
+
+
+def ext1(nbrs, removed, d=3):
+    return OpRecord("ext1", {"nbrs": nbrs, "removed": removed, "d": d}, 0, 0)
+
+
+class TestHennebergInPlace:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_copy_on_write_reference(self, d):
+        for n in sorted({2 * d, 2 * d + 1, 13, 60}):
+            for seed in range(10):
+                g, log = henneberg_generate(d, n, seed)
+                want, want_log = reference_henneberg(d, n, seed)
+                assert g == want
+                assert [g.neighbors(v) for v in range(n)] == [want.neighbors(v) for v in range(n)]
+                assert json.dumps([r.to_json_dict() for r in log]) == json.dumps(
+                    [r.to_json_dict() for r in want_log]
+                )
+                assert henneberg_replay(d, log) == g
+
+    # Logs at d = 3, each with one bad record, and the message that record
+    # raises when replayed one step at a time.
+    BAD_LOGS = [
+        ([ext0([0, 1])], "0-extension set must have exactly 3 vertices, got 2"),
+        ([ext1([0, 1, 2], [0, 1])], "1-extension needs exactly 4 neighbours, got 3"),
+        ([ext0([0, 1, 1])], "0-extension set contains repeated vertices"),
+        ([ext1([0, 1, 2, 2], [0, 1])], "1-extension neighbours contains repeated vertices"),
+        ([ext0([0, 1, 6])], "0-extension set vertex 6 out of range"),
+        ([ext1([-1, 0, 1, 2], [0, 1])], "1-extension neighbours vertex -1 out of range"),
+        ([ext0([0, 2, 4]), ext1([1, 2, 3, 6], [6, 1])], "removed pair (1, 6) is not an edge"),
+        ([ext1([0, 1, 2, 3], [4, 5])], "removed edge endpoints must lie among the neighbours"),
+    ]
+
+    @pytest.mark.parametrize("log, message", BAD_LOGS)
+    def test_replay_rejects_bad_records(self, log, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            henneberg_replay(3, log)
+        g = complete_graph(6)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            for rec in log:
+                g = apply_record(g, rec)
+
+    def test_replay_takes_only_extensions(self):
+        cone_record = cone(complete_graph(7))[1]
+        with pytest.raises(ValueError, match="record 1 is a 'cone' operation"):
+            henneberg_replay(3, [ext0([0, 2, 4]), cone_record])
+        # apply_record still replays it
+        assert apply_record(complete_graph(7), cone_record) == complete_graph(8)
 
 
 class TestIndependenceTransfer:
