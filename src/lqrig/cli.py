@@ -162,13 +162,10 @@ class ScanConfig:
         _check_sampling(self.trials, self.seed, self.rel_tol)
         if self.count < 1:
             raise InputError("count must be >= 1")
-        if self.d < 1:
-            raise InputError("d must be >= 1")
         if not self.q_list:
             raise InputError("at least one exponent q is required")
         for q in self.q_list:
-            if not 1.0 < q < float("inf"):
-                raise InputError(f"q={q} outside (1, inf)")
+            _space(self.d, q)
             if abs(q - 2.0) < DEFAULT_Q_GAP and not self.allow_near_euclidean:
                 raise InputError(
                     f"q={q} is within {DEFAULT_Q_GAP} of the Euclidean point; "
@@ -224,7 +221,7 @@ def run_scan(config: ScanConfig) -> dict:
         graphs += len(block)
         cells = list(product(block, config.q_list))
         verdicts = max_rank_samples(
-            [(inst["graph"], LqSpace(config.d, q), inst["seed"]) for inst, q in cells],
+            [(inst["graph"], _space(config.d, q), inst["seed"]) for inst, q in cells],
             config.trials,
             config.rel_tol,
         )

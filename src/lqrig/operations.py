@@ -10,6 +10,8 @@ functions step by step: they grow one list of neighbour sets in place by
 `_extend`, which runs the checks of `zero_extension` and `one_extension`,
 and build one graph at the end.  So the replay takes only the ext0 and
 ext1 records the generator writes; `apply_record` replays any kind.
+Both refuse a record whose `before_n` is not the vertex count it is
+applied to, and read an extension record's params as integers.
 """
 
 from __future__ import annotations
@@ -100,12 +102,33 @@ def _check_extension(
     if len(nbrs) != d + 1:
         raise ValueError(f"1-extension needs exactly {d + 1} neighbours, got {len(nbrs)}")
     _check_vertices(len(adj), nbrs, "1-extension neighbours")
-    x, y = min(removed), max(removed)
+    if len(removed) != 2:
+        raise ValueError(f"removed edge {list(removed)} is not a vertex pair")
+    x, y = sorted(removed)
     if not (0 <= x < len(adj) and y in adj[x]):
         raise ValueError(f"removed pair {(x, y)} is not an edge")
     if x not in nbrs or y not in nbrs:
         raise ValueError("removed edge endpoints must lie among the neighbours")
     return x, y
+
+
+def _extension_args(kind: str, p: dict) -> tuple[list[int], Optional[list[int]], int]:
+    """The neighbours, removed edge (None for ext0) and d that the params
+    of an ext0 or ext1 record name; KeyError or TypeError unless each is
+    there and made of integers."""
+    d = json_int(p["d"])
+    if kind == "ext0":
+        return [json_int(x) for x in p["s"]], None, d
+    return [json_int(x) for x in p["nbrs"]], [json_int(x) for x in p["removed"]], d
+
+
+def _extension(g: Graph, kind: str, p: dict) -> tuple[Graph, OpRecord]:
+    """`zero_extension` or `one_extension` of g as an ext0 or ext1 record's
+    params name it."""
+    nbrs, removed, d = _extension_args(kind, p)
+    if removed is None:
+        return zero_extension(g, nbrs, d)
+    return one_extension(g, nbrs, removed, d)
 
 
 def _extend(adj: list[set[int]], nbrs: list[int], removed: Optional[Sequence[int]], d: int) -> None:
@@ -308,10 +331,8 @@ class Operation(NamedTuple):
 OPERATIONS: dict[str, Operation] = {
     "cone": Operation(lambda g, p: cone(g), False),
     "brace": Operation(lambda g, p: brace(g, p["s"], p["d"]), True),
-    "ext0": Operation(lambda g, p: zero_extension(g, p["s"], p["d"]), True),
-    "ext1": Operation(
-        lambda g, p: one_extension(g, p["nbrs"], tuple(p["removed"]), p["d"]), True
-    ),
+    "ext0": Operation(lambda g, p: _extension(g, "ext0", p), True),
+    "ext1": Operation(lambda g, p: _extension(g, "ext1", p), True),
     "vsplit": Operation(
         lambda g, p: vertex_split(g, p["v0"], p["shared"], p.get("moved", []), p["d"]), True
     ),
@@ -327,10 +348,18 @@ OPERATIONS: dict[str, Operation] = {
 
 
 def apply_record(g: Graph, rec: OpRecord) -> Graph:
-    """Replay one recorded operation."""
+    """Replay one recorded operation on g, which must have the record's
+    `before_n` vertices.  A missing or ill-typed parameter raises
+    ValueError."""
     if rec.kind not in OPERATIONS:
         raise ValueError(f"unknown operation kind {rec.kind!r}")
-    return OPERATIONS[rec.kind].apply(g, rec.params)[0]
+    if rec.before_n != g.n:
+        raise ValueError(f"{rec.kind!r} record starts from {rec.before_n} vertices, not {g.n}")
+    try:
+        res = OPERATIONS[rec.kind].apply(g, rec.params)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{rec.kind!r} record has a missing or bad parameter: {exc}") from exc
+    return res[0]
 
 
 def henneberg_generate(d: int, n: int, seed: int) -> tuple[Graph, list[OpRecord]]:
@@ -375,18 +404,22 @@ def henneberg_replay(d: int, records: Sequence[OpRecord]) -> Graph:
     """Replay a `henneberg_generate` log from K_{2d}: each record is a 0- or
     1-extension, checked and made in place as in generation, with the d
     it carries.  Any other kind raises ValueError; `apply_record` replays
-    those one step at a time."""
+    those one step at a time.  So does a record whose `before_n` is not
+    the vertex count it is applied to, or whose params are missing or
+    ill-typed; each message names the record's position."""
     adj = _complete(2 * d)
     for i, rec in enumerate(records):
-        p = rec.params
-        if rec.kind == "ext0":
-            _extend(adj, list(p["s"]), None, p["d"])
-        elif rec.kind == "ext1":
-            _extend(adj, list(p["nbrs"]), tuple(p["removed"]), p["d"])
-        else:
+        if rec.kind not in ("ext0", "ext1"):
             raise ValueError(
                 f"record {i} is a {rec.kind!r} operation; henneberg_replay takes only 'ext0' and 'ext1'"
             )
+        if rec.before_n != len(adj):
+            raise ValueError(f"record {i} starts from {rec.before_n} vertices, not {len(adj)}")
+        try:
+            nbrs, removed, rec_d = _extension_args(rec.kind, rec.params)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"record {i} has a missing or bad parameter: {exc}") from exc
+        _extend(adj, nbrs, removed, rec_d)
     return _graph(adj)
 
 

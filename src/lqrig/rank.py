@@ -470,6 +470,8 @@ def max_rank_samples(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
     states = [_Cell(g, space, seed, rel_tol) for g, space, seed in cells]
     open_cells = states
     for i in range(trials):

@@ -7,20 +7,20 @@ one code path, and the topological vertex split is a local face-list edit.
 Sphere triangulations satisfy |E| = 3|V| - 6, projective-plane ones
 |E| = 3|V| - 3.
 
-A triangulation is its graph, faces and surface.  One in-place face edit
-makes every split: through a per-vertex index of face positions it
-touches only the faces at the split vertex.  `generate_triangulation`
-and `replay_splits` build the index once, edit one face list split by
-split and build the graph once, from the final faces;
-`topological_vertex_split` edits a copy of the faces and takes its graph
-from `operations.vertex_split`.  The base complexes are built once per
-process and shared.
+A triangulation is exactly its JSON: surface, n and faces.  Its graph is
+the union of the face edges, built when it is constructed and nowhere
+else.  One in-place face edit makes every split: through a per-vertex
+index of face positions it touches only the faces at the split vertex.
+`generate_triangulation` and `replay_splits` build the index once and edit
+one face list split by split; `topological_vertex_split` edits a copy of
+the faces.  The base complexes are built once per process and shared.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, combinations
 from typing import Optional, Sequence
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, json_int
-from .operations import OpRecord, vertex_split
+from .operations import OpRecord
 
 SPHERE = "sphere"
 PROJECTIVE_PLANE = "projective_plane"
@@ -72,15 +72,21 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class SurfaceTriangulation:
-    """A face list over a graph on one surface."""
+    """A face list on one surface, exactly its JSON: `surface`, `n` and
+    `faces`, each face an ascending vertex triple.  `graph` is the union of
+    the face edges, built here, which puts every face vertex in 0..n-1;
+    equality and hashing read the other three fields.  See `validate`."""
 
-    graph: Graph
-    faces: tuple[tuple[int, int, int], ...]
     surface: str
+    n: int
+    faces: tuple[tuple[int, int, int], ...]
+    graph: Graph = field(init=False, compare=False, repr=False)
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
+    def __post_init__(self) -> None:
+        if self.surface not in _EULER:
+            raise ValueError(f"unknown surface {self.surface!r}")
+        graph = Graph(self.n, {e for f in self.faces for e in combinations(f, 2)})
+        object.__setattr__(self, "graph", graph)
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,7 +100,7 @@ class SurfaceTriangulation:
         try:
             surface = str(obj["surface"])
             n = json_int(obj["n"])
-            faces = [tuple(sorted(json_int(x) for x in f)) for f in obj["faces"]]
+            faces = [[json_int(x) for x in f] for f in obj["faces"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed triangulation object: {exc}") from exc
         t = from_faces(surface, n, faces)
@@ -105,18 +111,9 @@ class SurfaceTriangulation:
 
 
 def from_faces(surface: str, n: int, faces: Sequence[Sequence[int]]) -> SurfaceTriangulation:
-    """Assemble a triangulation from a face list; the graph is the union of
-    the face edges.  No validation beyond graph construction."""
-    if surface not in _EULER:
-        raise ValueError(f"unknown surface {surface!r}")
-    return _assemble(surface, n, [tuple(sorted(f)) for f in faces])
-
-
-def _assemble(surface: str, n: int, faces: Sequence[tuple[int, ...]]) -> SurfaceTriangulation:
-    """The triangulation of `faces`, each an ascending triple, over the
-    union of their edges, every one of which `Graph` checks."""
-    graph = Graph(n, {e for f in faces for e in combinations(f, 2)})
-    return SurfaceTriangulation(graph, tuple(faces), surface)
+    """The triangulation of a face list, each face sorted into ascending
+    order.  No validation beyond construction."""
+    return SurfaceTriangulation(surface, n, tuple(tuple(sorted(f)) for f in faces))
 
 
 def base_complex(kind: str) -> SurfaceTriangulation:
@@ -130,8 +127,7 @@ def base_complex(kind: str) -> SurfaceTriangulation:
 def _base_complex(kind: str) -> SurfaceTriangulation:
     if kind not in _BASES:
         raise ValueError(f"unknown base complex {kind!r}")
-    surface, n, faces = _BASES[kind]
-    return from_faces(surface, n, faces)
+    return SurfaceTriangulation(*_BASES[kind])
 
 
 def _index(faces: Sequence[tuple[int, ...]], n: int) -> list[list[int]]:
@@ -189,27 +185,20 @@ def _opposite(face: tuple[int, ...], v: int) -> tuple[int, ...]:
 def validate(t: SurfaceTriangulation) -> ValidationResult:
     """Check all structural invariants; report the first violation.
 
-    The Euler characteristic fixes the edge count: once each face is three
-    distinct in-range vertices whose edges are graph edges, no face repeats
-    and each graph edge lies in exactly two faces, 3|F| = 2|E|, so
-    chi = |V| - |E|/3.  Then |E| = 3|V| - 6 exactly when chi = 2 (sphere) and
-    |E| = 3|V| - 3 exactly when chi = 1 (projective plane).
+    Construction has put each face's vertices in range, made them distinct
+    (a repeat is a self-loop) and made the graph's edges the face edges.
+    The Euler characteristic fixes the edge count: once each face is a
+    triple, no face repeats and each graph edge lies in exactly two faces,
+    3|F| = 2|E|, so chi = |V| - |E|/3.  Then |E| = 3|V| - 6 exactly when
+    chi = 2 (sphere) and |E| = 3|V| - 3 exactly when chi = 1 (projective plane).
     """
     n = t.n
     for f in t.faces:
-        if len(f) != 3 or len(set(f)) != 3:
+        if len(f) != 3:
             return ValidationResult(False, f"face {f} is not a vertex triple")
-        if any(not 0 <= x < n for x in f):
-            return ValidationResult(False, f"face {f} has out-of-range vertices")
-        for e in combinations(sorted(f), 2):
-            if not t.graph.has_edge(*e):
-                return ValidationResult(False, f"face edge {e} missing from graph")
     if len(set(t.faces)) != len(t.faces):
         return ValidationResult(False, "duplicate face")
-    cover: dict[tuple[int, int], int] = {e: 0 for e in t.graph.edges}
-    for f in t.faces:
-        for e in combinations(sorted(f), 2):
-            cover[e] += 1
+    cover = Counter(e for f in t.faces for e in combinations(sorted(f), 2))
     for e, c in cover.items():
         if c != 2:
             return ValidationResult(False, f"edge {e} lies in {c} faces, expected 2")
@@ -234,10 +223,9 @@ def topological_vertex_split(
     the stored cyclic order) plus the new vertex w0, which takes the other
     arc.  Faces (v, w0, a) and (v, w0, b) are added.  As a graph operation
     this is the 3-dimensional vertex split with shared neighbours {a, b}
-    that moves the interior of the arc b..a to w0: the graph comes from that
-    d = 3 `operations.vertex_split`, with its checks, and the record is its
-    record plus `a` and `b` for `replay_splits`.  The single step runs the
-    face edit of `replay_splits` on a copy of the face list.
+    that moves the interior of the arc b..a to w0; the record is that d = 3
+    `operations.vertex_split` record plus `a` and `b` for `replay_splits`.
+    The step runs the face edit of `replay_splits` on a copy of the faces.
 
     Precondition: `t` is a valid triangulation (see `validate`).  The output
     is then valid too, so it is not re-checked: the edit is local to the
@@ -248,8 +236,7 @@ def topological_vertex_split(
     """
     faces = list(t.faces)
     rec = _checked_split(faces, _index(faces, t.n), v, a, b)
-    graph, _ = vertex_split(t.graph, v, (a, b), rec.params["moved"], 3)
-    return SurfaceTriangulation(graph, tuple(faces), t.surface), rec
+    return SurfaceTriangulation(t.surface, t.n + 1, tuple(faces)), rec
 
 
 def _checked_split(faces: list, at: list[list[int]], v: int, a: int, b: int) -> OpRecord:
@@ -336,7 +323,7 @@ def generate_triangulation(
         weights.append(0)
         for x in (v, a, b, w0):
             weights[x] = len(at[x]) * (len(at[x]) - 1)
-    return _assemble(surface, n, faces), records
+    return SurfaceTriangulation(surface, n, tuple(faces)), records
 
 
 def _split_at(
@@ -357,17 +344,19 @@ def _split_at(
 def replay_splits(base: SurfaceTriangulation, records: Sequence[OpRecord]) -> SurfaceTriangulation:
     """The triangulation that split records (`v0`, `a`, `b`, as the
     generator writes them) make from `base`, a valid triangulation with
-    ascending faces.  The splits edit one face list and its index in place,
-    and the graph is built once, from the final faces, so `Graph` checks
-    every edge.  Records may come from JSON, so each split is checked as
+    ascending faces, by editing one face list and its index in place.
+    Records may come from JSON, so each split is checked as
     `topological_vertex_split` checks its arguments, and a record that
-    lacks `v0`, `a` or `b` raises a ValueError naming its position."""
+    does not start from the current vertex count (`before_n`) or lacks
+    `v0`, `a` or `b` raises a ValueError naming its position."""
     faces = list(base.faces)
     at = _index(faces, base.n)
     for k, rec in enumerate(records):
+        if rec.before_n != len(at):
+            raise ValueError(f"split record {k} starts from {rec.before_n} vertices, not {len(at)}")
         try:
             v, a, b = rec.params["v0"], rec.params["a"], rec.params["b"]
         except KeyError as exc:
             raise ValueError(f"split record {k} lacks {exc}") from None
         _checked_split(faces, at, v, a, b)
-    return _assemble(base.surface, len(at), faces)
+    return SurfaceTriangulation(base.surface, len(at), tuple(faces))

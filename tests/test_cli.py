@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -607,6 +608,20 @@ class TestScan:
     def test_surface_source_needs_d3(self):
         with pytest.raises(InputError):
             ScanConfig(d=2, q_list=(3.0,), max_n=6, sources=("sphere",))
+
+    @pytest.mark.parametrize("d, q, message", [
+        (0, 3.0, "dimension must be >= 1"),
+        (3, 1.0, "q must lie in (1, inf)"),
+        (3, float("inf"), "q must lie in (1, inf)"),
+        (3, float("nan"), "q must lie in (1, inf)"),
+    ])
+    def test_space_checked_as_lq_space(self, d, q, message, capsys):
+        # the exponent range has one home: the scan reports LqSpace's message
+        with pytest.raises(InputError, match=re.escape(message)):
+            ScanConfig(d=d, q_list=(3.0, q), max_n=8)
+        argv = ["scan", "-d", str(d), "-q", f"3,{q}", "--max-n", "8"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_cli_bad_config_exit_2(self, capsys):
         assert main(["scan", "-d", "2", "-q", "2.0", "--max-n", "5"]) == 2

@@ -375,12 +375,12 @@ def reference_henneberg(d, n, seed):
     return g, records
 
 
-def ext0(s, d=3):
-    return OpRecord("ext0", {"s": s, "d": d}, 0, 0)
+def ext0(s, before_n=6, d=3):
+    return OpRecord("ext0", {"s": s, "d": d}, before_n, before_n + 1)
 
 
-def ext1(nbrs, removed, d=3):
-    return OpRecord("ext1", {"nbrs": nbrs, "removed": removed, "d": d}, 0, 0)
+def ext1(nbrs, removed, before_n=6, d=3):
+    return OpRecord("ext1", {"nbrs": nbrs, "removed": removed, "d": d}, before_n, before_n + 1)
 
 
 class TestHennebergInPlace:
@@ -406,8 +406,10 @@ class TestHennebergInPlace:
         ([ext1([0, 1, 2, 2], [0, 1])], "1-extension neighbours contains repeated vertices"),
         ([ext0([0, 1, 6])], "0-extension set vertex 6 out of range"),
         ([ext1([-1, 0, 1, 2], [0, 1])], "1-extension neighbours vertex -1 out of range"),
-        ([ext0([0, 2, 4]), ext1([1, 2, 3, 6], [6, 1])], "removed pair (1, 6) is not an edge"),
+        ([ext0([0, 2, 4]), ext1([1, 2, 3, 6], [6, 1], 7)], "removed pair (1, 6) is not an edge"),
         ([ext1([0, 1, 2, 3], [4, 5])], "removed edge endpoints must lie among the neighbours"),
+        ([ext1([0, 1, 2, 3], [0, 3, 1])], "removed edge [0, 3, 1] is not a vertex pair"),
+        ([ext1([0, 1, 2, 3], [0])], "removed edge [0] is not a vertex pair"),
     ]
 
     @pytest.mark.parametrize("log, message", BAD_LOGS)
@@ -418,6 +420,37 @@ class TestHennebergInPlace:
         with pytest.raises(ValueError, match=re.escape(message)):
             for rec in log:
                 g = apply_record(g, rec)
+
+    # Params a JSON log may hold, each missing or of the wrong type.
+    BAD_PARAMS = [
+        ("ext0", {"d": 3}),
+        ("ext0", {"s": [0, 1]}),
+        ("ext0", {"s": 5, "d": 3}),
+        ("ext0", {"s": [0, 1.5, 2], "d": 3}),
+        ("ext0", {"s": [0, True, 2], "d": 3}),
+        ("ext0", {"s": [0, 1, 2], "d": 3.0}),
+        ("ext1", {"nbrs": [0, 1, 2, 3], "d": 3}),
+        ("ext1", {"nbrs": [0, 1, 2, 3], "removed": None, "d": 3}),
+        ("ext1", {"nbrs": [0, 1, 2, 3], "removed": [0, "1"], "d": 3}),
+    ]
+
+    @pytest.mark.parametrize("kind, params", BAD_PARAMS)
+    def test_replay_rejects_bad_params(self, kind, params):
+        rec = OpRecord(kind, params, 7, 8)
+        with pytest.raises(ValueError, match="record 1 has a missing or bad parameter"):
+            henneberg_replay(3, [ext0([0, 2, 4]), rec])
+        with pytest.raises(ValueError, match=f"'{kind}' record has a missing or bad parameter"):
+            apply_record(complete_graph(7), rec)
+
+    def test_replay_checks_where_a_record_starts(self):
+        g, log = henneberg_generate(3, 14, seed=2)
+        with pytest.raises(ValueError, match="record 0 starts from 6 vertices, not 8"):
+            henneberg_replay(4, log)
+        with pytest.raises(ValueError, match="record 3 starts from 10 vertices, not 9"):
+            henneberg_replay(3, log[:3] + log[4:])
+        with pytest.raises(ValueError, match="'ext[01]' record starts from 6 vertices, not 8"):
+            apply_record(complete_graph(8), log[0])
+        assert henneberg_replay(3, log) == g
 
     def test_replay_takes_only_extensions(self):
         cone_record = cone(complete_graph(7))[1]
@@ -748,10 +781,11 @@ class TestDerivedGraphs:
             assert_fresh(out)
 
     def test_triangulation_index_ignored(self):
-        # A triangulation carries no face index, only its graph, faces and
-        # surface, so the one rebuilt from its faces equals it throughout.
+        # A triangulation carries no face index, only its surface, n and
+        # faces, and the graph built from those, so the one rebuilt from its
+        # faces equals it throughout.
         t, _ = generate_triangulation(PROJECTIVE_PLANE, 12, seed=4)
-        assert [f.name for f in fields(SurfaceTriangulation)] == ["graph", "faces", "surface"]
+        assert [f.name for f in fields(SurfaceTriangulation)] == ["surface", "n", "faces", "graph"]
         again = from_faces(t.surface, t.n, t.faces)
         assert again == t and hash(again) == hash(t)
         assert repr(again) == repr(t) and again.to_json_dict() == t.to_json_dict()

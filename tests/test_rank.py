@@ -395,6 +395,15 @@ class TestMaxRankSample:
         with pytest.raises(ValueError):
             max_rank_sample(wheel_graph(5), LqSpace(2, 3.0), trials=0)
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, np.nan])
+    def test_rel_tol_validation(self, rel_tol):
+        # checked at entry, as trials is, not when the verdict's cutoff is read
+        g, space = complete_graph(4), LqSpace(2, 3.0)
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            max_rank_sample(g, space, rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            max_rank_samples([(g, space, 0)], rel_tol=rel_tol)
+
 
 def beside(a: Graph, b: Graph) -> Graph:
     """The disjoint union of a and b, b's vertices numbered after a's."""

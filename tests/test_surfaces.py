@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -234,29 +234,79 @@ class TestSplit:
 class TestValidateNegatives:
     def test_face_deleted(self):
         t = base_complex("K4")
-        broken = SurfaceTriangulation(t.graph, t.faces[:-1], t.surface)
+        broken = SurfaceTriangulation(t.surface, t.n, t.faces[:-1])
         res = validate(broken)
         assert not res and "faces" in res.failure
 
-    def test_face_edge_missing_from_graph(self):
+    def test_out_of_range_face_vertex_raises(self):
+        # the graph built from the faces checks every face vertex
         t = base_complex("K4")
-        smaller = Graph(4, [e for e in t.graph.edges if e != (0, 1)])
-        res = validate(SurfaceTriangulation(smaller, t.faces, t.surface))
-        assert not res and "missing" in res.failure
+        with pytest.raises(ValueError, match="out of range"):
+            SurfaceTriangulation(t.surface, t.n, t.faces + ((1, 2, 4),))
+        with pytest.raises(ValueError, match="out of range"):
+            from_faces(t.surface, t.n, [(0, 1, -1), *t.faces[1:]])
 
     def test_triple_cover_detected(self):
         t = base_complex("K6")
         # swap two faces to cover some edge three times
         faces = list(t.faces)
         faces[faces.index((0, 4, 5))] = (0, 1, 4)
-        res = validate(SurfaceTriangulation(t.graph, tuple(faces), t.surface))
+        res = validate(SurfaceTriangulation(t.surface, t.n, tuple(faces)))
         assert not res
         assert "duplicate" in res.failure or "faces" in res.failure
 
     def test_wrong_surface_tag(self):
         t = base_complex("K6")
-        res = validate(SurfaceTriangulation(t.graph, t.faces, SPHERE))
+        res = validate(SurfaceTriangulation(SPHERE, t.n, t.faces))
         assert not res
+
+    def test_unknown_surface_raises(self):
+        t = base_complex("K4")
+        with pytest.raises(ValueError, match="unknown surface 'torus'"):
+            SurfaceTriangulation("torus", t.n, t.faces)
+        with pytest.raises(ValueError, match="unknown surface 'torus'"):
+            from_faces("torus", t.n, t.faces)
+        with pytest.raises(ValueError, match="unknown surface 'torus'"):
+            SurfaceTriangulation.from_json_dict({**t.to_json_dict(), "surface": "torus"})
+
+
+def face_graph(t: SurfaceTriangulation) -> Graph:
+    """The graph on t's vertices whose edges are its face edges."""
+    return Graph(t.n, {tuple(sorted(e)) for f in t.faces for e in combinations(f, 2)})
+
+
+class TestType:
+    def test_fields_are_the_json(self):
+        assert [f.name for f in fields(SurfaceTriangulation) if f.init] == ["surface", "n", "faces"]
+        (graph,) = [f for f in fields(SurfaceTriangulation) if not f.init]
+        assert graph.name == "graph" and not graph.compare and not graph.repr
+        t = base_complex("K6")
+        assert list(t.to_json_dict()) == ["surface", "n", "faces"]
+        assert repr(t) == f"SurfaceTriangulation(surface={t.surface!r}, n=6, faces={t.faces!r})"
+
+    def test_graph_is_the_face_graph(self):
+        # every way of making a triangulation gives it the graph of its faces
+        made = [base_complex(kind) for kind in BASE_NAMES]
+        for kind in ("K4", "K6", "K7_minus_K3"):
+            start = base_complex(kind)
+            t, log = generate_triangulation(start.surface, start.n + 9, seed=4, base=kind)
+            made += [t, replay_splits(start, log)]
+            made += [topological_vertex_split(t, v, a, b)[0] for v, a, b in split_candidates(t)[::7]]
+            made.append(from_faces(t.surface, t.n, [f[::-1] for f in t.faces]))
+            made.append(SurfaceTriangulation.from_json_dict(t.to_json_dict()))
+        for t in made:
+            want = face_graph(t)
+            assert t.graph == want
+            assert [t.graph.neighbors(v) for v in range(t.n)] == [
+                want.neighbors(v) for v in range(t.n)
+            ]
+
+    def test_equality_reads_the_fields(self):
+        t, _ = generate_triangulation(PROJECTIVE_PLANE, 11, seed=6)
+        again = SurfaceTriangulation(t.surface, t.n, t.faces)
+        assert again == t and hash(again) == hash(t) and again.graph == t.graph
+        assert replace(t, n=t.n + 1) != t
+        assert replace(t, n=t.n + 1).graph.n == t.n + 1
 
 
 class TestGeneration:
@@ -396,6 +446,14 @@ class TestGeneration:
             log[3] = replace(log[3], params={**p, **bad})
             with pytest.raises(ValueError, match=message):
                 replay_splits(base_complex("K6"), log)
+
+    def test_replay_checks_where_a_record_starts(self):
+        # a log grown from K7 - K3 does not start from K6
+        _, log = generate_triangulation(PROJECTIVE_PLANE, 12, seed=3, base="K7_minus_K3")
+        with pytest.raises(ValueError, match="split record 0 starts from 7 vertices, not 6"):
+            replay_splits(base_complex("K6"), log)
+        with pytest.raises(ValueError, match="split record 2 starts from 10 vertices, not 9"):
+            replay_splits(base_complex("K7_minus_K3"), log[:2] + log[3:])
 
     def test_base_surface_mismatch(self):
         with pytest.raises(ValueError, match="complex"):
