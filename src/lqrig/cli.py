@@ -410,8 +410,7 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     name = args.name
     if name not in ORACLES:
         raise InputError(f"unknown oracle {name!r}")
-    if not 1.0 < args.q < np.inf:
-        raise InputError("q must lie in (1, inf)")
+    _space(1, args.q)  # LqSpace holds the exponent range; any d checks it
     oracle = ORACLES[name]
     given = {"d": args.d, "q": args.q, "gamma": args.gamma}
     unread = [flag for p, flag in _FLAGS.items() if given[p] is not None and p not in oracle.params]

@@ -350,7 +350,8 @@ OPERATIONS: dict[str, Operation] = {
 def apply_record(g: Graph, rec: OpRecord) -> Graph:
     """Replay one recorded operation on g, which must have the record's
     `before_n` vertices.  A missing or ill-typed parameter raises
-    ValueError."""
+    ValueError, as does a `reduce1` request (no `added` pair) whose search
+    finds no pair."""
     if rec.kind not in OPERATIONS:
         raise ValueError(f"unknown operation kind {rec.kind!r}")
     if rec.before_n != g.n:
@@ -359,6 +360,8 @@ def apply_record(g: Graph, rec: OpRecord) -> Graph:
         res = OPERATIONS[rec.kind].apply(g, rec.params)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{rec.kind!r} record has a missing or bad parameter: {exc}") from exc
+    if res is None:
+        raise ValueError(f"reduce1 finds no pair to add at vertex {rec.params['v']}")
     return res[0]
 
 

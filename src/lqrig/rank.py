@@ -22,25 +22,36 @@ placement, an independent edge set is (d,d)-sparse, and the rank is at
 most the (d,d) count rank (`graphs.count_rank`).  No placement can raise
 the rank above the ceiling min(|E|, target rank, count rank).
 
-Each trial is certified before any SVD, when it can be: a shifted
-floating-point Cholesky factorisation of the Gram matrix of the rows that
-form a (d,d) count basis of the ceiling's size proves that the exact
-matrix at that float placement has full rank on those rows (Rump,
-"Verification of positive definiteness", BIT 46, 2006; see `_certify`).
-The rank is then the generic rank, proved, and sampling stops; the shift
-also covers the SVD's cutoff, so the trial's SVD would keep that rank.  A
-trial that fails takes its SVD.  Sampling stops once two placements reach
+Each trial is certified before any SVD, when it can be, in two steps on
+the rows B that form a (d,d) count basis of the ceiling's size.  First a
+shifted floating-point Cholesky factorisation of their Gram matrix (Rump,
+"Verification of positive definiteness", BIT 46, 2006; see `_certify`);
+its shift also covers the SVD's cutoff, so the trial's SVD would keep |B|
+singular values.  It needs about kappa^2 |B| u < 1, and at high q, where
+kappa reaches 1e8-1e12, it often fails.  Then, when B is square once one
+vertex's d columns are dropped (|B| = d|V| - d, as for every tight graph)
+and |B| <= 512, a verified approximate inverse (Oishi and Rump 2002; see
+`_verified_inverse`), which needs only about kappa |B| u < 1.  Above 512
+rows numpy's `inv` would hold more memory than the Gram's Cholesky does.
+Either pass proves that the exact matrix at that float placement has full
+rank on B: the rank is then the generic rank, and sampling stops.  A trial
+that fails both takes its SVD.  Sampling stops once two placements reach
 the ceiling, and the rank is "stable" when two trials agree on it, as a
-float verdict with no certificate.  A verdict whose witness was certified
-takes the witness's SVD (`tolerance_used`, `sv_gap`) only when one of them
-is first read.
+float verdict with no certificate.
+
+The witness is the first placement that reached the verdict's rank, proved
+or not.  A verdict whose witness was certified takes the witness's SVD
+(`tolerance_used`, `sv_gap`, `witness_svd_rank`) only when one of them is
+first read.  After an inverse pass that SVD may keep fewer rows than the
+proved rank; `witness_svd_rank` shows the shortfall.
 
 `max_rank_samples` takes many (graph, space, seed) cells at once and runs
-their trials in rounds.  The certificates of a round are stacked by
+their trials in rounds.  The Gram certificates of a round are stacked by
 (|E|, |V|, d, q, ceiling): one numpy call builds, equilibrates,
 multiplies and factors every matrix of a stack, and each matrix rounds as
 it would alone, so every verdict is the one its cell gets alone.
-`max_rank_sample` is its one-cell call; there is no other certificate.
+The inverse runs one cell at a time, after its Gram certificate fails.
+`max_rank_sample` is its one-cell call.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ from .geometry import (
     Placement,
     RigidityMatrix,
     _edge_differences,
+    _ends,
     _place_rows,
     rigidity_matrix,
     signed_pow,
@@ -68,6 +80,16 @@ DEFAULT_TRIALS = 8
 _RESAMPLE_BUDGET = 64
 # Unit roundoff of doubles.
 _U = 2.0**-53
+# The verified inverse is tried only on bases of at most this many rows.
+# numpy's `inv` holds four |B| x |B| arrays at once (its input, LAPACK's
+# two work copies and the result): 8 MiB at 512 rows, less than the three
+# arrays of the Cholesky that a 597-row Gram certificate (a 200-vertex
+# tight graph in l_q^3) holds, so the inverse raises no verdict's peak
+# memory above the Gram's.
+_INVERSE_ROWS = 512
+# Rows of E X - I formed at a time, so the residual needs no |B| x |B|
+# array beside X.
+_SLAB = 64
 
 
 @dataclass(frozen=True)
@@ -96,14 +118,17 @@ class Verdict:
 
     `rank` is the largest of `trial_ranks`, one per sampled placement;
     `witness` is the first placement that reached it.  `certified` says
-    that a trial's rank was proved to be the count-basis size, so `rank` is
-    the generic rank.  independent <=> rank = |E|; rigid <=> rank = d|V| -
+    that a trial's rank was proved to be the count-basis size, by the Gram
+    certificate or else the verified inverse, so `rank` is the generic
+    rank.  independent <=> rank = |E|; rigid <=> rank = d|V| -
     dim(isometries), which is d|V| - d for q != 2 and d|V| - d(d+1)/2 at
     q = 2.
 
     `witness_rank` returns the witness's `numerical_rank`: the trial's own,
     or, for a witness certified with no SVD, one taken on the first read of
-    `tolerance_used` or `sv_gap` and kept.
+    `tolerance_used`, `sv_gap` or `witness_svd_rank` and kept.  A Gram
+    pass implies that this SVD keeps `rank` singular values; an inverse
+    pass does not, so `witness_svd_rank` can lie below `rank`.
     """
 
     rank: int
@@ -128,6 +153,13 @@ class Verdict:
         """The witness's smallest kept and largest dropped singular values
         divided by `tolerance_used`."""
         return self._witness_svd.sv_gap
+
+    @property
+    def witness_svd_rank(self) -> int:
+        """The rank the witness's SVD keeps at `tolerance_used`: `rank`,
+        unless the witness was proved by the verified inverse (see
+        `_verified_inverse`) and its SVD falls short."""
+        return self._witness_svd.rank
 
     @property
     def stable(self) -> bool:
@@ -164,6 +196,7 @@ class Verdict:
             "trial_ranks": list(self.trial_ranks),
             "tolerance_used": self.tolerance_used,
             "sv_gap": list(self.sv_gap),
+            "witness_svd_rank": self.witness_svd_rank,
             "witness_placement": self.witness.to_json_dict(),
         }
 
@@ -248,6 +281,14 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
+def _entry_error(q: float) -> float:
+    """e/(1-e), e = gamma_{ceil(q)+1}: |E - A| <= e/(1-e) |A| for a built
+    altered matrix A and the exact one E at the same float placement (see
+    `_certify`)."""
+    e = _gamma(math.ceil(q) + 1)
+    return e / (1.0 - e)
+
+
 def _shift_terms(g: Graph, space: LqSpace, rel_tol: float) -> tuple[float, float, float]:
     """The terms of `_shift` that g, the space and `rel_tol` fix, read once
     per verdict.  g's equilibrated altered matrix A has |E| rows of d|V|
@@ -258,10 +299,9 @@ def _shift_terms(g: Graph, space: LqSpace, rel_tol: float) -> tuple[float, float
     the square of twice the largest SVD cutoff of A at `rel_tol`."""
     cols = space.d * g.n
     norm = 2.0 * space.d * g.max_degree()
-    entry = _gamma(math.ceil(space.q) + 1)
     return (
         _gamma(cols) * norm,
-        (entry / (1.0 - entry)) ** 2 * norm,
+        _entry_error(space.q) ** 2 * norm,
         (2.0 * rel_tol * max(g.m, cols)) ** 2 * norm,
     )
 
@@ -453,6 +493,93 @@ def _certify(cells: Sequence[_Cell]) -> list[bool]:
     return passed
 
 
+def _square_basis(c: _Cell, rows: Sequence[int]) -> np.ndarray:
+    """The altered rows `rows` of c's graph at its current draw, without
+    vertex 0's d columns, equilibrated: square when there are d|V| - d
+    rows."""
+    g, d = c.g, c.space.d
+    idx = np.asarray(rows, dtype=np.intp)
+    v, w = (ends[idx] - 1 for ends in _ends(g))
+    values = signed_pow(c.draw[1][idx], c.space.q - 1.0)
+    b = np.zeros((len(idx), g.n - 1, d))
+    r = np.arange(len(idx))
+    # v < w, so only v can be vertex 0, now at -1.
+    b[r, w] = -values
+    kept = v >= 0
+    b[r[kept], v[kept]] = values[kept]
+    b = b.reshape(len(idx), -1)
+    _equilibrate(b)
+    return b
+
+
+def _inverse_bound(b: np.ndarray, q: float) -> float:
+    """An upper bound on ||E X - I||_inf for X = fl(inv(b)) and every E with
+    |E - b| <= eps |b|, b square and eps the `_entry_error` at q; inf when
+    `inv` raises, X is not finite or a row of the computed residual is
+    not below 1 (or is NaN).  `b` is overwritten.  The residual is formed
+    `_SLAB` rows at a time, and || |b||X| ||_inf as max(|b| (|X| 1)), the
+    absolute values taken in place.  See `_verified_inverse`."""
+    k = len(b)
+    try:
+        x = np.linalg.inv(b)
+    except np.linalg.LinAlgError:
+        return math.inf
+    if not np.isfinite(x).all():
+        return math.inf
+    residual = 0.0
+    for i in range(0, k, _SLAB):
+        r = b[i : i + _SLAB] @ x
+        r[np.arange(len(r)), np.arange(i, i + len(r))] -= 1.0
+        worst = float(np.abs(r, out=r).sum(axis=1).max())
+        if not worst < 1.0:
+            return math.inf
+        residual = max(residual, worst)
+    spread = float((np.abs(b, out=b) @ np.abs(x, out=x).sum(axis=1)).max())
+    # Each computed sum of k nonnegative terms is within gamma_k of the
+    # exact one, and the residual's diagonal subtraction rounds once more.
+    residual /= 1.0 - _gamma(k + 1)
+    spread /= (1.0 - _gamma(k)) ** 2
+    return (residual + (_gamma(k) + _entry_error(q)) * spread) * (1.0 + 2.0**-40)
+
+
+def _verified_inverse(c: _Cell) -> bool:
+    """Whether a verified inverse proves c's current draw at its ceiling:
+    the ceiling is d|V| - d, at most `_INVERSE_ROWS`, with a basis
+    (`_Cell.basis`), `_normal_entries` holds, and the `_inverse_bound` of
+    its `_square_basis` B is below 1.
+
+    Then the exact altered matrix at the draw has full rank on those rows
+    (Oishi and Rump, "Fast verification of solutions of matrix
+    equations", Numer. Math. 90, 2002).  Proof: every row is a difference
+    of two vertex blocks, so vertex 0's columns are minus the sum of the
+    others, and dropping them keeps the rank; B is then square.
+    Let E be the exact rows at the draw on the same columns, scaled by
+    the same powers of two: |E - B| <= eps |B|, eps = e/(1-e) with e =
+    gamma_{ceil(q)+1}, the entry bound of `_certify`.  For any X, E X - I
+    = (E - B) X + (B X - fl(B X)) + (fl(B X) - I), and |fl(B X) - B X| <=
+    gamma_|B| |B||X|, so ||E X - I||_inf <= ||fl(B X) - I||_inf +
+    (gamma_|B| + eps) || |B||X| ||_inf.  Each computed norm is rounded up
+    by its gamma factor and the sum by `_shift`'s 1 + 2^-40, which also
+    covers underflow: that adds at most |B| 2^-1074 to an entry of fl(B
+    X), while the bound is at least gamma_|B| times an entry of |B||X| >=
+    |B X| on the diagonal, at least 1 minus the residual.  Below 1, E X
+    is nonsingular, so E is, and the rows have rank |B|.  It needs about
+    kappa(B) |B| u < 1, where the Gram certificate needs about kappa(B)^2
+    |B| u < 1.
+
+    Unlike the Gram's, a pass says nothing of the SVD cutoff: the trial's
+    SVD may keep fewer than |B| singular values.
+    """
+    g, space = c.g, c.space
+    size = space.d * (g.n - 1)
+    if c.ceiling != size or size > _INVERSE_ROWS:
+        return False
+    rows = c.basis()
+    if rows is None or not _normal_entries(c.draw[1][None], space.q)[0]:
+        return False
+    return _inverse_bound(_square_basis(c, rows), space.q) < 1.0
+
+
 def max_rank_samples(
     cells: Sequence[tuple[Graph, LqSpace, int]],
     trials: int = DEFAULT_TRIALS,
@@ -462,11 +589,12 @@ def max_rank_samples(
 
     Trials run in rounds: round i draws trial i of every open cell, once
     for cells that share the graph object, dimension and seed, as the draw
-    depends on nothing else, and certifies the draws together (`_certify`).  A cell
-    that fails goes on alone: with a ceiling lowered to the count rank it
-    tries the same placement again (in a second stacked pass), and
-    otherwise takes the trial's SVD.  Each cell's verdict is the one it
-    gets alone.
+    depends on nothing else, and certifies the draws together (`_certify`).
+    A cell that fails goes on alone: with a ceiling lowered to the count
+    rank it tries the same placement again (in a second stacked pass), and
+    otherwise tries the verified inverse (`_verified_inverse`) and, if
+    that fails too, takes the trial's SVD.  Each cell's verdict is the one
+    it gets alone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -486,14 +614,16 @@ def max_rank_samples(
         while trying:
             retry = []
             for c, passed in zip(trying, _certify(trying)):
+                if not passed:
+                    lowered = min(c.ceiling, count_rank(c.g, c.space.d))
+                    if lowered < c.ceiling:
+                        c.ceiling = lowered
+                        retry.append(c)
+                        continue
+                    passed = _verified_inverse(c)
                 if passed:
                     c.certified = True
                     c.record(c.ceiling, None)
-                    continue
-                lowered = min(c.ceiling, count_rank(c.g, c.space.d))
-                if lowered < c.ceiling:
-                    c.ceiling = lowered
-                    retry.append(c)
                     continue
                 a = _altered([c.g], c.draw[1][None], c.space.q)[0]
                 res = numerical_rank(a, rel_tol, overwrite=True)
@@ -524,16 +654,22 @@ def max_rank_sample(
     until one fails and min(|E|, target rank, count rank) after: the count
     rank is computed only then, or when a target rank below |E| needs a
     count basis.  If a failure lowers the ceiling, the same placement tries
-    again.  A pass gives the trial the ceiling as its rank, proved, and
-    ends sampling; otherwise the trial takes its SVD.  Sampling also stops
-    at the second trial that reaches the ceiling: no trial exceeds it, so
+    again.  Once the Gram fails at the final ceiling, a ceiling of d|V| -
+    d rows, at most 512 (`_INVERSE_ROWS`, a memory cap), tries the
+    verified inverse of `_verified_inverse` on the same placement.  A pass
+    of either gives the trial the ceiling as its rank, proved, and ends
+    sampling; otherwise the trial takes its SVD.  Sampling also stops at
+    the second trial that reaches the ceiling: no trial exceeds it, so
     `trial_ranks` is then a prefix of the full run's, and the rank, cutoff
     and witness are the full run's.
 
     A trial's matrix is built from its edge differences for the
-    certificate and freed before the Cholesky, and built again when the
-    certificate fails.  A witness certified with no SVD takes its SVD only
-    when the verdict's cutoff is first read.
+    certificate and freed before the Cholesky; the inverse builds its own
+    square rows, and the SVD builds the matrix again.  A witness certified
+    with no SVD takes its SVD only when the verdict's cutoff is first
+    read.  The witness is the first trial that reached the verdict's rank,
+    also when an inverse pass proved it and its SVD keeps fewer rows
+    (`Verdict.witness_svd_rank`).
     """
     return max_rank_samples([(g, space, seed)], trials, rel_tol)[0]
 

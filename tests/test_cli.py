@@ -18,7 +18,7 @@ from lqrig.surfaces import base_complex, replay_splits, validate
 VERDICT_KEYS = {
     "rank", "edge_count", "target_rank", "independent", "rigid", "minimally_rigid",
     "stress_dim", "stable", "certified", "trial_ranks", "tolerance_used", "sv_gap",
-    "witness_placement",
+    "witness_svd_rank", "witness_placement",
 }
 ANALYZE_KEYS = {"graph", "d", "q", "trials", "seed"} | VERDICT_KEYS
 CANDIDATE_KEYS = {"source", "base", "q", "d", "seed", "trials", "graph", "log"} | VERDICT_KEYS
@@ -404,10 +404,11 @@ class TestOracleCommand:
     @pytest.mark.parametrize("name", ["wheel_det", "gamma_select", "k7k3_f"])
     @pytest.mark.parametrize("q", ["0.5", "1", "-2", "inf", "nan"])
     def test_q_outside_range_exit_2(self, name, q, capsys):
+        # The range is LqSpace's, checked before any flag the oracle ignores.
         args = ["oracle", "--name", name, "-q", q, "--gamma", "0.3"]
         assert main(args) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "error:" in captured.err
+        assert captured.out == "" and "error: q must lie in (1, inf)" in captured.err
 
 
 @pytest.mark.parametrize("argv", FOREIGN_FLAGS.values(), ids=FOREIGN_FLAGS)

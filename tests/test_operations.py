@@ -262,6 +262,15 @@ class TestOneReduction:
             with pytest.raises(ValueError, match=message):
                 apply(g, {"v": v, "added": added, "d": 2})
 
+    def test_search_request_finding_no_pair(self):
+        # A reduce1 record without `added` asks for a search.  In K4 at
+        # d = 2 every pair of neighbours of 0 is an edge, so it finds none,
+        # and the replay refuses the record.
+        rec = OpRecord("reduce1", {"v": 0, "d": 2}, 4, 3)
+        assert one_reduction_search(complete_graph(4), 0, 2) is None
+        with pytest.raises(ValueError, match="finds no pair to add at vertex 0"):
+            apply_record(complete_graph(4), rec)
+
     @pytest.mark.parametrize("v", [-1, -12, 12, 13])
     def test_vertex_out_of_range(self, v):
         g, _ = henneberg_generate(3, 12, 0)

@@ -18,16 +18,21 @@ from lqrig.oracles import (
     wheel_placement,
 )
 from lqrig.rank import (
+    _INVERSE_ROWS,
     _RESAMPLE_BUDGET,
     DEFAULT_REL_TOL,
     _Cell,
     _certify,
+    _entry_error,
     _equilibrate,
+    _gamma,
+    _inverse_bound,
     _normal_entries,
     _positive_definite,
     _sample,
     _shift,
     _shift_terms,
+    _verified_inverse,
     cokernel_basis,
     max_rank_sample,
     max_rank_samples,
@@ -54,40 +59,51 @@ def k4_plus_isolated() -> Graph:
     return Graph(5, complete_graph(4).edges)
 
 
-def certificate(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
-    """Whether the certificate of `max_rank_sample` passes at p, taken as
-    the loop takes it, before any SVD."""
+def cell_at(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
+    """A verdict's cell whose current draw is p, at the given ceiling."""
     cell = _Cell(g, space, 0, rel_tol)
     cell.ceiling, cell.draw = ceiling, (p, _edge_differences(g, p.coords)[0])
-    return _certify([cell])[0]
+    return cell
 
 
-def certifies(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
-    """Whether the trial at p reaches the ceiling and is certified, its SVD
-    taken first."""
-    res = numerical_rank(rigidity_matrix(g, p, space), rel_tol)
-    return res.rank >= ceiling and certificate(g, space, p, ceiling, rel_tol)
+def certificate(g, space, p, ceiling, rel_tol=DEFAULT_REL_TOL):
+    """Whether the Gram certificate of `max_rank_sample` passes at p, taken
+    as the loop takes it, before any SVD."""
+    return _certify([cell_at(g, space, p, ceiling, rel_tol)])[0]
+
+
+def inverse_certificate(g, space, p, ceiling):
+    """Whether the verified inverse of `max_rank_sample` passes at p, taken
+    as the loop takes it after a failed Gram certificate."""
+    return _verified_inverse(cell_at(g, space, p, ceiling))
 
 
 def reference_trials(g, space, trials, seed, rel_tol=DEFAULT_REL_TOL):
     """(rank, placement, cutoff) of every trial of the one-placement-at-a-time
-    loop; the number of trials up to the first that reaches min(|E|, target
-    rank, count rank), the count rank found by brute force, and is
-    certified, or else up to the second that reaches it; and whether a
-    certificate ended the run.  Above the brute-force cap the count rank is
-    `graphs.count_rank`'s."""
+    loop; the number of trials up to the first certified at the ceiling
+    min(|E|, target rank, count rank), the count rank found by brute
+    force, or else up to the second that reaches it; and the certificate
+    that ended the run: "gram", "inverse" or None.  Every trial takes its
+    SVD first.  A Gram pass must be a trial whose SVD keeps the ceiling; a
+    trial with no Gram pass that passes the verified inverse has the
+    ceiling as its rank, whatever its SVD keeps.  Above the brute-force cap
+    the count rank is `graphs.count_rank`'s."""
     count = brute_count_rank(g, space.d) if g.n <= BRUTE_CAP else count_rank(g, space.d)
     ceiling = min(g.m, space.target_rank(g.n), count)
-    out, cut, certified = [], None, False
+    out, cut, certified = [], None, None
     for i in range(trials):
         p = sample_placement(g, space, np.random.default_rng([seed, i]))
         res = numerical_rank(rigidity_matrix(g, p, space), rel_tol)
-        out.append((res.rank, p, res.tolerance_used))
+        rank = res.rank
         if cut is None:
-            if certifies(g, space, p, ceiling, rel_tol):
-                cut, certified = i + 1, True
-            elif sum(r >= ceiling for r, _, _ in out) == 2:
-                cut = i + 1
+            if certificate(g, space, p, ceiling, rel_tol):
+                assert rank >= ceiling, (g.edges, space, seed, i)
+                certified = "gram"
+            elif inverse_certificate(g, space, p, ceiling):
+                rank, certified = ceiling, "inverse"
+        out.append((rank, p, res.tolerance_used))
+        if cut is None and (certified or sum(r >= ceiling for r, _, _ in out) == 2):
+            cut = i + 1
     return out, cut or trials, certified
 
 
@@ -217,7 +233,9 @@ class SvdCounter:
 
 
 class TestMaxRankSample:
-    @pytest.mark.parametrize("read", ["tolerance_used", "sv_gap", "to_json_dict"])
+    @pytest.mark.parametrize(
+        "read", ["tolerance_used", "sv_gap", "witness_svd_rank", "to_json_dict"]
+    )
     def test_certified_first_trial_takes_svd_on_read(self, read, monkeypatch):
         # A first trial certified before its SVD takes none; the witness's
         # SVD runs when its cutoff or gap is first read, and only once.
@@ -233,6 +251,8 @@ class TestMaxRankSample:
         witness = numerical_rank(rigidity_matrix(g, res.witness, space))
         assert (res.tolerance_used, res.sv_gap) == (witness.tolerance_used, witness.sv_gap)
         assert res.to_json_dict()["tolerance_used"] == witness.tolerance_used
+        # A Gram pass keeps the witness's SVD at the rank.
+        assert res.witness_svd_rank == witness.rank == res.rank
         assert counter.calls == 2  # the reference above, and no second read
 
     def test_certified_on_all_rows_plays_no_pebble_game(self):
@@ -249,11 +269,17 @@ class TestMaxRankSample:
             ((complete_graph(5), LqSpace(2, 1.5), 0), 0),
             # Fails on all 10 rows, then passes on its count basis of 8.
             ((k5_plus_isolated(), LqSpace(2, 1.5), 6), 0),
-            # The graphs of the two high-q tests below.
-            ((henneberg_generate(3, 10, 1016164991)[0], LqSpace(3, 10.0), 1667914287), 1),
-            ((henneberg_generate(3, 30, 629145196)[0], LqSpace(3, 10.0), 904496091), 3),
+            # The graphs of the two high-q tests below: the Gram fails at
+            # the first trial and the verified inverse passes.
+            ((henneberg_generate(3, 10, 1016164991)[0], LqSpace(3, 10.0), 1667914287), 0),
+            ((henneberg_generate(3, 30, 629145196)[0], LqSpace(3, 10.0), 904496091), 0),
+            # Both fail at the first trial, which takes its SVD (rank 32
+            # of 33), and one passes at the second.
+            ((henneberg_generate(3, 12, 27)[0], LqSpace(3, 10.0), 27), 1),
+            # K4 in the Euclidean plane has no count basis of its rank 5.
+            ((complete_graph(4), LqSpace(2, 2.0), 1), 2),
         ],
-        ids=["k5", "k5_plus_isolated", "henneberg10", "henneberg30"],
+        ids=["k5", "k5_plus_isolated", "henneberg10", "henneberg30", "henneberg12", "k4_euclidean"],
     )
     def test_one_svd_per_uncertified_trial(self, case, svds, monkeypatch):
         # A trial takes its SVD only when its certificate fails, and the
@@ -346,10 +372,12 @@ class TestMaxRankSample:
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 8])
     def test_matches_reference_loop(self, trials):
-        # The reference takes every SVD before its certificate, so a trial
-        # certified before its SVD must be one that the SVD at the same
-        # placement keeps at the ceiling, at every rel_tol.  K7 at d = 1 has
-        # |E| = 21 rows far above its count basis of 6 edges.
+        # The reference takes every SVD before its certificates, so a trial
+        # that the Gram certifies before its SVD must be one that the SVD at
+        # the same placement keeps at the ceiling, at every rel_tol.  K7 at
+        # d = 1 has |E| = 21 rows far above its count basis of 6 edges,
+        # which is square once vertex 0's column is dropped, as W5's 8 rows
+        # are in the plane.
         cases = [
             (wheel_graph(5), LqSpace(2, 3.0)),
             (complete_graph(5), LqSpace(3, 1.5)),
@@ -359,37 +387,48 @@ class TestMaxRankSample:
             (k5_plus_isolated(), LqSpace(2, 6.0)),
             (complete_graph(7), LqSpace(1, 3.0)),
         ]
+        methods = Counter()
         for (g, space), seed, rel_tol in product(cases, (0, 7), (DEFAULT_REL_TOL, 1e-6, 1e-3)):
             ref, cut, certified = reference_trials(g, space, trials, seed, rel_tol)
+            methods[certified] += 1
             ranks = [r for r, _, _ in ref]
             top = ranks.index(max(ranks))
             res = max_rank_sample(g, space, trials=trials, seed=seed, rel_tol=rel_tol)
             # The early exit keeps a prefix and the full loop's verdict,
             # which a certificate makes stable.
-            assert res.trial_ranks == tuple(ranks[:cut]) and res.certified == certified
+            assert res.trial_ranks == tuple(ranks[:cut]) and res.certified == bool(certified)
             assert res.rank == ranks[top]
-            assert res.stable == (certified or ranks.count(res.rank) >= 2)
+            assert res.stable == (bool(certified) or ranks.count(res.rank) >= 2)
             assert res.tolerance_used == ref[top][2]
             assert np.array_equal(res.witness.coords, ref[top][1].coords)
+        # At rel_tol 1e-3 the Gram's shift covers a cutoff too large for
+        # some square bases, which the inverse then proves.
+        assert methods["gram"] > 0 and methods["inverse"] > 0 and methods[None] > 0
 
     def test_high_q_tight_graph_independent(self):
         # A (3,3)-tight graph, so independent for q != 2.  Without
         # equilibration the cutoff dropped rows of small (q-1)-th powers:
         # trial ranks (24, 26, 22, 24, 25, 26, 26, 26), a stable rank 26.
         # The first trial's smallest singular value, about 1.2e-7, is too
-        # close to the rounding for a certificate; the second's is not.
+        # close to the rounding for the Gram certificate, which needs about
+        # kappa^2 |B| u < 1; the verified inverse needs kappa |B| u < 1.
         g = henneberg_generate(3, 10, 1016164991)[0]
         res = verdict(g, LqSpace(3, 10.0), seed=1667914287)
-        assert res.trial_ranks == (27, 27) and res.independent and res.certified
+        assert res.trial_ranks == (27,) and res.independent and res.certified
+        assert res.witness_svd_rank == 27
 
     def test_certified_at_the_one_trial_at_full_rank(self):
-        # A (3,3)-tight graph at q = 10 whose trials reach |E| = 87 only
-        # once in eight, so no two trials agree on it: (86, 86, 85, 87, 86,
-        # 86, 86, 86), not stable.  The fourth trial is certified.
+        # A (3,3)-tight graph at q = 10 whose SVDs reach |E| = 87 only once
+        # in eight trials: (86, 86, 85, 87, 86, 86, 86, 86).  With two
+        # trials, two SVDs agreed on a stable, wrong rank 86, which read as
+        # a candidate counterexample.  The verified inverse proves the
+        # first trial at 87, though its SVD keeps 86, and that placement
+        # stays the witness.
         g = henneberg_generate(3, 30, 629145196)[0]
-        res = verdict(g, LqSpace(3, 10.0), seed=904496091)
-        assert res.trial_ranks == (86, 86, 85, 87) and res.rank == g.m == 87
+        res = verdict(g, LqSpace(3, 10.0), trials=2, seed=904496091)
+        assert res.trial_ranks == (87,) and res.rank == g.m == 87
         assert res.certified and res.stable and res.independent
+        assert res.witness_svd_rank == res.to_json_dict()["witness_svd_rank"] == 86
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
@@ -425,9 +464,10 @@ class OriginOnce:
 
 def mixed_cells():
     """(graph, space, seed) cells of several shapes, d and q, in shuffled
-    order: tight graphs stacked with the first of the high-q graphs below,
-    whose first trial takes its SVD, and the second, which takes three;
-    two K8s beside a sphere triangulation, whose ceilings drop to the count
+    order: tight graphs stacked with the two high-q graphs below, which the
+    verified inverse proves after a failed Gram certificate; a third,
+    whose first trial takes its SVD and whose second is certified; two
+    K8s beside a sphere triangulation, whose ceilings drop to the count
     rank; K5, certified on a count basis from the start; and K4 in the
     Euclidean plane, never certified."""
     sphere = [generate_triangulation(SPHERE, 9, s)[0].graph for s in (0, 1)]
@@ -445,6 +485,7 @@ def mixed_cells():
         (complete_graph(4), LqSpace(2, 2.0), 1),
         (henneberg_generate(3, 10, 1016164991)[0], LqSpace(3, 10.0), 1667914287),
         (henneberg_generate(3, 30, 629145196)[0], LqSpace(3, 10.0), 904496091),
+        (henneberg_generate(3, 12, 27)[0], LqSpace(3, 10.0), 27),
     ]
     return [cells[i] for i in np.random.default_rng(0).permutation(len(cells))]
 
@@ -556,6 +597,85 @@ class TestCertificate:
                     assert exact_rank(exact) == len(exact) == ceiling, (g.edges, d)
                     certified[ceiling < g.m] += 1
         assert certified[True] > 100 and certified[False] > 100
+
+
+def tree(n, rng):
+    """A random tree on n vertices: (1,1)-tight."""
+    return Graph(n, [(int(rng.integers(0, v)), v) for v in range(1, n)])
+
+
+class TestVerifiedInverse:
+    def test_sound_on_integer_placements(self):
+        # At q = 3 and integer coordinates in [-2, 2] every altered entry
+        # x|x| is a small integer, exact in floats and in Fractions, and
+        # many placements make a tight graph's rows exactly dependent.  A
+        # pass must mean full rank of the exact rows; the dependent ones,
+        # over 200 of them, must all be refused.
+        rng = np.random.default_rng(0)
+        outcome = Counter()
+        for d, sizes in ((1, range(3, 8)), (2, range(4, 9)), (3, range(6, 10))):
+            space = LqSpace(d, 3.0)
+            for n, s in product(sizes, range(12)):
+                g = tree(n, rng) if d == 1 else henneberg_generate(d, n, s)[0]
+                for _ in range(8):
+                    p = Placement(d, rng.integers(-2, 3, size=(n, d)).astype(float))
+                    if not p.well_positioned(g):
+                        continue
+                    full = exact_rank([exact_row(g, p, d, e) for e in g.edges]) == g.m
+                    passed = inverse_certificate(g, space, p, g.m)
+                    assert full or not passed, (g.edges, p.coords.tolist())
+                    outcome[full, passed] += 1
+        assert outcome[False, False] >= 200 and outcome[True, True] >= 200
+
+    def test_refuses_a_singular_matrix_within_the_entry_error(self):
+        # At q = 10 a built entry may be off by eps = _entry_error(10),
+        # about 11u, relative.  b is nonsingular and its computed residual
+        # is small, but the all-ones matrix lies within eps |b| and is
+        # singular, so the bound must not fall below 1.  At q = 3 eps is
+        # below delta, no singular matrix is that close, and b passes.
+        delta = 5 * 2.0**-52
+        b = np.array([[1 + delta, 1 - delta], [1 - delta, 1 + delta]])
+        assert Fraction(delta) <= Fraction(_entry_error(10.0)) * Fraction(1 - delta)
+        assert Fraction(delta) > Fraction(_entry_error(3.0))
+        assert _inverse_bound(b.copy(), 10.0) >= 1
+        assert _inverse_bound(b.copy(), 3.0) < 1
+
+    @pytest.mark.parametrize("k", [1, 64, _INVERSE_ROWS])
+    def test_bound_keeps_the_a_priori_terms(self, k):
+        # The computed residual of 0.5 I and its inverse 2 I is exactly 0,
+        # which proves nothing of the exact products: the bound keeps
+        # (gamma_k + eps) || |b||X| ||_inf, here gamma_k + eps, for the
+        # rounding of fl(b X) and of the built entries.
+        for q in (1.5, 3.0, 10.0):
+            bound = _inverse_bound(0.5 * np.eye(k), q)
+            assert _gamma(k) + _entry_error(q) <= bound < 1
+
+    def test_refuses_a_failed_inverse(self):
+        # LAPACK finds the zero pivot; 1 / 2^-1070 overflows.
+        assert _inverse_bound(np.zeros((3, 3)), 3.0) == np.inf
+        assert _inverse_bound(np.array([[2.0**-1070]]), 3.0) == np.inf
+
+    def test_refuses_entries_near_underflow(self, monkeypatch):
+        # As for the Gram, no inverse is tried where an entry could be
+        # subnormal: |x|^9 of x = 2^-150 underflows at q = 10.  The path on
+        # 3 vertices is (1,1)-tight, with 2 rows.
+        inverted, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+        g, p = path_graph(3), Placement(1, [[0.0], [2.0**-150], [0.5]])
+        assert not inverse_certificate(g, LqSpace(1, 10.0), p, 2) and not inverted
+        assert inverse_certificate(g, LqSpace(1, 3.0), p, 2) and len(inverted) == 1
+
+    def test_no_inverse_above_the_cap(self, monkeypatch):
+        # numpy's inv holds four |B| x |B| arrays, more above 512 rows than
+        # the Gram's Cholesky holds at 597: a 172-vertex tight graph in
+        # l_q^3 (513 rows) goes from a failed Gram straight to its SVD, a
+        # 171-vertex one (510 rows) tries the inverse first.
+        sizes, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: sizes.append(len(a)) or inv(a))
+        for n in (171, 172):
+            g = henneberg_generate(3, n, 0)[0]
+            assert not max_rank_sample(g, LqSpace(3, 10.0), trials=1, seed=0).certified
+        assert sizes == [510]
 
 
 class OriginFirst:
