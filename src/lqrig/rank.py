@@ -29,15 +29,17 @@ shifted floating-point Cholesky factorisation of their Gram matrix (Rump,
 its shift also covers the SVD's cutoff, so the trial's SVD would keep |B|
 singular values.  It needs about kappa^2 |B| u < 1, and at high q, where
 kappa reaches 1e8-1e12, it often fails.  Then, when B is square once one
-vertex's d columns are dropped (|B| = d|V| - d, as for every tight graph)
-and |B| <= 512, a verified approximate inverse (Oishi and Rump 2002; see
-`_verified_inverse`), which needs only about kappa |B| u < 1.  Above 512
-rows numpy's `inv` would hold more memory than the Gram's Cholesky does.
-Either pass proves that the exact matrix at that float placement has full
-rank on B: the rank is then the generic rank, and sampling stops.  A trial
-that fails both takes its SVD.  Sampling stops once two placements reach
-the ceiling, and the rank is "stable" when two trials agree on it, as a
-float verdict with no certificate.
+vertex's d columns are dropped (|B| = d|V| - d, as for every tight graph),
+a verified approximate inverse (Oishi and Rump 2002; see
+`_verified_inverse`), which needs only about kappa |B| u < 1.  Its X is
+solved in one column slab up to 512 rows and in two above, so that it
+holds no more memory than the Gram's Cholesky of the same basis, and the
+bound is summed over the slabs.  Either pass proves that the exact matrix
+at that float placement has full rank on B: the rank is then the generic
+rank, and sampling stops.  A trial that fails both takes its SVD.
+Sampling stops once two placements reach the ceiling, and the rank is
+"stable" when two trials agree on it, as a float verdict with no
+certificate.
 
 The witness is the first placement that reached the verdict's rank, proved
 or not.  A verdict whose witness was certified takes the witness's SVD
@@ -80,12 +82,13 @@ DEFAULT_TRIALS = 8
 _RESAMPLE_BUDGET = 64
 # Unit roundoff of doubles.
 _U = 2.0**-53
-# The verified inverse is tried only on bases of at most this many rows.
-# numpy's `inv` holds four |B| x |B| arrays at once (its input, LAPACK's
-# two work copies and the result): 8 MiB at 512 rows, less than the three
-# arrays of the Cholesky that a 597-row Gram certificate (a 200-vertex
-# tight graph in l_q^3) holds, so the inverse raises no verdict's peak
-# memory above the Gram's.
+# The verified inverse solves for X one column slab at a time.  Up to
+# this many rows X is one slab, numpy's `inv`, whose four |B| x |B| arrays
+# (B, LAPACK's copies of it and of the identity, and X) hold at most 8
+# MiB.  Above it a slab of w = ceil(|B| / 2) columns is solved from a view
+# of the identity (`_identity_slab`), holding 2|B|^2 + 2|B|w doubles: no
+# more than the three |B| x |B| arrays of the Gram's Cholesky on the same
+# basis, give or take |B| (see `_slab_width`).
 _INVERSE_ROWS = 512
 # Rows of E X - I formed at a time, so the residual needs no |B| x |B|
 # array beside X.
@@ -496,11 +499,16 @@ def _certify(cells: Sequence[_Cell]) -> list[bool]:
 def _square_basis(c: _Cell, rows: Sequence[int]) -> np.ndarray:
     """The altered rows `rows` of c's graph at its current draw, without
     vertex 0's d columns, equilibrated: square when there are d|V| - d
-    rows."""
+    rows.  The scaling is `_equilibrate`'s, with no |B| x |B| temporary:
+    a row's entries are its d values and their negatives, so the values
+    are scaled before they are placed, and a column's largest |entry| is
+    the larger of its largest entry and minus its smallest.  The entries
+    are finite, as `_normal_entries` holds."""
     g, d = c.g, c.space.d
     idx = np.asarray(rows, dtype=np.intp)
     v, w = (ends[idx] - 1 for ends in _ends(g))
     values = signed_pow(c.draw[1][idx], c.space.q - 1.0)
+    np.ldexp(values, -np.frexp(np.abs(values).max(axis=1))[1][:, None], out=values)
     b = np.zeros((len(idx), g.n - 1, d))
     r = np.arange(len(idx))
     # v < w, so only v can be vertex 0, now at -1.
@@ -508,45 +516,75 @@ def _square_basis(c: _Cell, rows: Sequence[int]) -> np.ndarray:
     kept = v >= 0
     b[r[kept], v[kept]] = values[kept]
     b = b.reshape(len(idx), -1)
-    _equilibrate(b)
+    top = np.maximum(b.max(axis=0), -b.min(axis=0))
+    np.ldexp(b, -np.frexp(top)[1], out=b)
     return b
 
 
+def _slab_width(k: int) -> int:
+    """Columns of X solved at a time for a k-row verified inverse: all k
+    up to `_INVERSE_ROWS`, else ceil(k / 2), so 2k^2 + 2kw <= 3k^2 + k."""
+    return k if k <= _INVERSE_ROWS else -(-k // 2)
+
+
+def _identity_slab(k: int, j: int, w: int) -> np.ndarray:
+    """Columns j to j + w of the k x k identity, as a view of k + w - 1
+    doubles z, only to be read: entry (r, c) is z[w - 1 + r - c], one
+    where r = j + c."""
+    z = np.zeros(k + w - 1)
+    z[j + w - 1] = 1.0
+    step = z.itemsize
+    return np.ndarray((k, w), buffer=z, offset=(w - 1) * step, strides=(step, -step))
+
+
 def _inverse_bound(b: np.ndarray, q: float) -> float:
-    """An upper bound on ||E X - I||_inf for X = fl(inv(b)) and every E with
+    """An upper bound on ||E X - I||_inf for X = fl(b^-1) and every E with
     |E - b| <= eps |b|, b square and eps the `_entry_error` at q; inf when
-    `inv` raises, X is not finite or a row of the computed residual is
-    not below 1 (or is NaN).  `b` is overwritten.  The residual is formed
-    `_SLAB` rows at a time, and || |b||X| ||_inf as max(|b| (|X| 1)), the
-    absolute values taken in place.  See `_verified_inverse`."""
+    a solve raises, X is not finite or a row of the computed residual
+    reaches 1 (or is NaN).  `b` is overwritten.  See `_verified_inverse`.
+
+    X is solved `_slab_width` columns at a time, from that slab of the
+    identity, and no slab is kept: each adds the row sums of |fl(b X_slab)
+    - I_slab|, formed `_SLAB` rows at a time, and of |X_slab| to two
+    k-vectors.  A partial residual row sum only grows, so one that reaches
+    1 refuses at once.  || |b||X| ||_inf is max(|b| (|X| 1)), taken after
+    the last slab, the absolute values taken in place."""
     k = len(b)
-    try:
-        x = np.linalg.inv(b)
-    except np.linalg.LinAlgError:
-        return math.inf
-    if not np.isfinite(x).all():
-        return math.inf
-    residual = 0.0
-    for i in range(0, k, _SLAB):
-        r = b[i : i + _SLAB] @ x
-        r[np.arange(len(r)), np.arange(i, i + len(r))] -= 1.0
-        worst = float(np.abs(r, out=r).sum(axis=1).max())
-        if not worst < 1.0:
+    width = _slab_width(k)
+    residual, x_sums = np.zeros(k), np.zeros(k)
+    for j in range(0, k, width):
+        eye = _identity_slab(k, j, min(width, k - j))
+        try:
+            # A single slab is numpy's inv: the same X, with less overhead.
+            x = np.linalg.inv(b) if width == k else np.linalg.solve(b, eye)
+        except np.linalg.LinAlgError:
             return math.inf
-        residual = max(residual, worst)
-    spread = float((np.abs(b, out=b) @ np.abs(x, out=x).sum(axis=1)).max())
-    # Each computed sum of k nonnegative terms is within gamma_k of the
-    # exact one, and the residual's diagonal subtraction rounds once more.
-    residual /= 1.0 - _gamma(k + 1)
+        if not np.isfinite(x).all():
+            return math.inf
+        for i in range(0, k, _SLAB):
+            r = b[i : i + _SLAB] @ x
+            r -= eye[i : i + _SLAB]
+            rows = residual[i : i + _SLAB]  # a writable view
+            rows += np.abs(r, out=r).sum(axis=1)
+            if not rows.max() < 1.0:
+                return math.inf
+        x_sums += np.abs(x, out=x).sum(axis=1)
+        del x  # freed before the next slab's solve
+    spread = float((np.abs(b, out=b) @ x_sums).max())
+    # Each computed sum of k nonnegative terms, also one added up over
+    # slabs, is within gamma_k of the exact one, and the residual's
+    # diagonal subtraction rounds once more.
+    residual = float(residual.max()) / (1.0 - _gamma(k + 1))
     spread /= (1.0 - _gamma(k)) ** 2
     return (residual + (_gamma(k) + _entry_error(q)) * spread) * (1.0 + 2.0**-40)
 
 
 def _verified_inverse(c: _Cell) -> bool:
     """Whether a verified inverse proves c's current draw at its ceiling:
-    the ceiling is d|V| - d, at most `_INVERSE_ROWS`, with a basis
-    (`_Cell.basis`), `_normal_entries` holds, and the `_inverse_bound` of
-    its `_square_basis` B is below 1.
+    the ceiling is d|V| - d, with a basis (`_Cell.basis`),
+    `_normal_entries` holds, and the `_inverse_bound` of its
+    `_square_basis` B is below 1.  Any size is tried: above `_INVERSE_ROWS`
+    rows X is solved in column slabs, and the bound is taken over them.
 
     Then the exact altered matrix at the draw has full rank on those rows
     (Oishi and Rump, "Fast verification of solutions of matrix
@@ -558,7 +596,9 @@ def _verified_inverse(c: _Cell) -> bool:
     gamma_{ceil(q)+1}, the entry bound of `_certify`.  For any X, E X - I
     = (E - B) X + (B X - fl(B X)) + (fl(B X) - I), and |fl(B X) - B X| <=
     gamma_|B| |B||X|, so ||E X - I||_inf <= ||fl(B X) - I||_inf +
-    (gamma_|B| + eps) || |B||X| ||_inf.  Each computed norm is rounded up
+    (gamma_|B| + eps) || |B||X| ||_inf.  Both norms are maxima of row
+    sums over X's columns, so they add up over the column slabs that X is
+    solved in, and no slab is kept.  Each computed norm is rounded up
     by its gamma factor and the sum by `_shift`'s 1 + 2^-40, which also
     covers underflow: that adds at most |B| 2^-1074 to an entry of fl(B
     X), while the bound is at least gamma_|B| times an entry of |B||X| >=
@@ -572,7 +612,7 @@ def _verified_inverse(c: _Cell) -> bool:
     """
     g, space = c.g, c.space
     size = space.d * (g.n - 1)
-    if c.ceiling != size or size > _INVERSE_ROWS:
+    if c.ceiling != size:
         return False
     rows = c.basis()
     if rows is None or not _normal_entries(c.draw[1][None], space.q)[0]:
@@ -655,8 +695,9 @@ def max_rank_sample(
     rank is computed only then, or when a target rank below |E| needs a
     count basis.  If a failure lowers the ceiling, the same placement tries
     again.  Once the Gram fails at the final ceiling, a ceiling of d|V| -
-    d rows, at most 512 (`_INVERSE_ROWS`, a memory cap), tries the
-    verified inverse of `_verified_inverse` on the same placement.  A pass
+    d rows tries the verified inverse of `_verified_inverse` on the same
+    placement, solved in column slabs above 512 rows (`_INVERSE_ROWS`) so
+    that it holds no more memory than the Gram's Cholesky.  A pass
     of either gives the trial the ceiling as its rank, proved, and ends
     sampling; otherwise the trial takes its SVD.  Sampling also stops at
     the second trial that reaches the ceiling: no trial exceeds it, so

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lqrig import rank
 from lqrig.geometry import LqSpace, Placement, _edge_differences, rigidity_matrix
 from lqrig.graphs import Graph, complete_graph, count_basis, count_rank, path_graph, wheel_graph
 from lqrig.operations import henneberg_generate, random_degree_bounded_sparse
@@ -22,16 +23,20 @@ from lqrig.rank import (
     _RESAMPLE_BUDGET,
     DEFAULT_REL_TOL,
     _Cell,
+    _altered,
     _certify,
     _entry_error,
     _equilibrate,
     _gamma,
+    _identity_slab,
     _inverse_bound,
     _normal_entries,
     _positive_definite,
     _sample,
     _shift,
     _shift_terms,
+    _slab_width,
+    _square_basis,
     _verified_inverse,
     cokernel_basis,
     max_rank_sample,
@@ -430,6 +435,16 @@ class TestMaxRankSample:
         assert res.certified and res.stable and res.independent
         assert res.witness_svd_rank == res.to_json_dict()["witness_svd_rank"] == 86
 
+    def test_certified_above_512_rows(self):
+        # A 200-vertex tight graph in l_q^3 has a 597-row basis.  Its one
+        # trial fails the Gram certificate, and the SVD keeps 596 rows: a
+        # candidate counterexample.  The inverse, solved in two slabs,
+        # proves 597.
+        g = henneberg_generate(3, 200, 1099128569)[0]
+        res = max_rank_sample(g, LqSpace(3, 1.5), trials=1, seed=535214420)
+        assert res.trial_ranks == (597,) and res.certified and res.independent
+        assert res.witness_svd_rank == 596
+
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             max_rank_sample(wheel_graph(5), LqSpace(2, 3.0), trials=0)
@@ -604,28 +619,69 @@ def tree(n, rng):
     return Graph(n, [(int(rng.integers(0, v)), v) for v in range(1, n)])
 
 
+def integer_placement_outcomes():
+    """(exact full rank, inverse passed) of tight graphs at q = 3 and
+    integer coordinates in [-2, 2], where every altered entry x|x| is a
+    small integer, exact in floats and in Fractions, and many placements
+    make the rows exactly dependent."""
+    rng = np.random.default_rng(0)
+    outcome = Counter()
+    for d, sizes in ((1, range(3, 8)), (2, range(4, 9)), (3, range(6, 10))):
+        space = LqSpace(d, 3.0)
+        for n, s in product(sizes, range(12)):
+            g = tree(n, rng) if d == 1 else henneberg_generate(d, n, s)[0]
+            for _ in range(8):
+                p = Placement(d, rng.integers(-2, 3, size=(n, d)).astype(float))
+                if not p.well_positioned(g):
+                    continue
+                full = exact_rank([exact_row(g, p, d, e) for e in g.edges]) == g.m
+                passed = inverse_certificate(g, space, p, g.m)
+                assert full or not passed, (g.edges, p.coords.tolist())
+                outcome[full, passed] += 1
+    return outcome
+
+
 class TestVerifiedInverse:
     def test_sound_on_integer_placements(self):
-        # At q = 3 and integer coordinates in [-2, 2] every altered entry
-        # x|x| is a small integer, exact in floats and in Fractions, and
-        # many placements make a tight graph's rows exactly dependent.  A
-        # pass must mean full rank of the exact rows; the dependent ones,
+        # A pass must mean full rank of the exact rows; the dependent ones,
         # over 200 of them, must all be refused.
-        rng = np.random.default_rng(0)
-        outcome = Counter()
-        for d, sizes in ((1, range(3, 8)), (2, range(4, 9)), (3, range(6, 10))):
-            space = LqSpace(d, 3.0)
-            for n, s in product(sizes, range(12)):
-                g = tree(n, rng) if d == 1 else henneberg_generate(d, n, s)[0]
-                for _ in range(8):
-                    p = Placement(d, rng.integers(-2, 3, size=(n, d)).astype(float))
-                    if not p.well_positioned(g):
-                        continue
-                    full = exact_rank([exact_row(g, p, d, e) for e in g.edges]) == g.m
-                    passed = inverse_certificate(g, space, p, g.m)
-                    assert full or not passed, (g.edges, p.coords.tolist())
-                    outcome[full, passed] += 1
+        outcome = integer_placement_outcomes()
         assert outcome[False, False] >= 200 and outcome[True, True] >= 200
+
+    def test_sound_in_slabs(self, monkeypatch):
+        # The same corpus with every basis (2 to 27 rows) solved in two
+        # column slabs.
+        sizes, solve = [], np.linalg.solve
+        monkeypatch.setattr(rank, "_INVERSE_ROWS", 1)
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: sizes.append((len(a), b.shape[1])) or solve(a, b)
+        )
+        outcome = integer_placement_outcomes()
+        assert outcome[False, False] >= 200 and outcome[True, True] >= 200
+        assert sizes and all(cols < rows for rows, cols in sizes)
+
+    @pytest.mark.parametrize("width", [25, 7, 1])
+    def test_slabs_bound_as_one(self, width, monkeypatch):
+        # Over column slabs of one X the bound adds up the same terms as
+        # over all columns at once, in another order.  Here every sum is
+        # exact: b is a random integer matrix near 8I, and X its inverse
+        # rounded to multiples of 2^-30, so the residual is not 0.  The
+        # bound must then be the same, whatever the width.  (Real solves of
+        # narrower slabs may round X otherwise, and the residual, made of
+        # rounding errors, with it.)
+        rng = np.random.default_rng(width)
+        for _ in range(10):
+            b = 8 * np.eye(50) + rng.integers(-1, 2, (50, 50))
+            x = np.round(np.linalg.inv(b) * 2.0**30) / 2.0**30
+            bounds = []
+            for w in (50, width):
+                with monkeypatch.context() as m:
+                    m.setattr(rank, "_slab_width", lambda k: w)
+                    m.setattr(np.linalg, "inv", lambda a: x.copy())
+                    m.setattr(np.linalg, "solve", lambda a, eye: x @ eye)
+                    bounds.append(_inverse_bound(b.copy(), 3.0))
+            whole, slabbed = bounds
+            assert _gamma(50) < whole < 1 and slabbed == whole
 
     def test_refuses_a_singular_matrix_within_the_entry_error(self):
         # At q = 10 a built entry may be off by eps = _entry_error(10),
@@ -640,12 +696,13 @@ class TestVerifiedInverse:
         assert _inverse_bound(b.copy(), 10.0) >= 1
         assert _inverse_bound(b.copy(), 3.0) < 1
 
-    @pytest.mark.parametrize("k", [1, 64, _INVERSE_ROWS])
+    @pytest.mark.parametrize("k", [1, 64, _INVERSE_ROWS, 600])
     def test_bound_keeps_the_a_priori_terms(self, k):
         # The computed residual of 0.5 I and its inverse 2 I is exactly 0,
         # which proves nothing of the exact products: the bound keeps
         # (gamma_k + eps) || |b||X| ||_inf, here gamma_k + eps, for the
-        # rounding of fl(b X) and of the built entries.
+        # rounding of fl(b X) and of the built entries.  At 600 rows X is
+        # solved in two slabs.
         for q in (1.5, 3.0, 10.0):
             bound = _inverse_bound(0.5 * np.eye(k), q)
             assert _gamma(k) + _entry_error(q) <= bound < 1
@@ -665,17 +722,56 @@ class TestVerifiedInverse:
         assert not inverse_certificate(g, LqSpace(1, 10.0), p, 2) and not inverted
         assert inverse_certificate(g, LqSpace(1, 3.0), p, 2) and len(inverted) == 1
 
-    def test_no_inverse_above_the_cap(self, monkeypatch):
-        # numpy's inv holds four |B| x |B| arrays, more above 512 rows than
-        # the Gram's Cholesky holds at 597: a 172-vertex tight graph in
-        # l_q^3 (513 rows) goes from a failed Gram straight to its SVD, a
-        # 171-vertex one (510 rows) tries the inverse first.
-        sizes, inv = [], np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: sizes.append(len(a)) or inv(a))
+    def test_slabs_above_the_cap(self, monkeypatch):
+        # Up to 512 rows X is one slab of all columns, taken by numpy's
+        # inv; above, it is solved in slabs of at most `_slab_width`
+        # columns.  A 171-vertex tight graph in l_q^3 has 510 rows, a
+        # 172-vertex one 513; at q = 10 the Gram fails on both and the
+        # inverse is tried.
+        assert _slab_width(510) == 510 and _slab_width(513) == 257
+        sizes, inv, solve = [], np.linalg.inv, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "inv", lambda a: sizes.append(("inv", *a.shape)) or inv(a))
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: sizes.append(("solve", *b.shape)) or solve(a, b)
+        )
         for n in (171, 172):
             g = henneberg_generate(3, n, 0)[0]
-            assert not max_rank_sample(g, LqSpace(3, 10.0), trials=1, seed=0).certified
-        assert sizes == [510]
+            max_rank_sample(g, LqSpace(3, 10.0), trials=1, seed=0)
+        assert sizes == [("inv", 510, 510), ("solve", 513, 257), ("solve", 513, 256)]
+
+    def test_identity_slab_solves_as_inv(self):
+        # The slab is a view of k + w - 1 doubles with the entries of the
+        # identity's columns j to j + w; all k columns solve as inv does.
+        rng = np.random.default_rng(1)
+        for k in (1, 2, 64, 357):
+            b = rng.standard_normal((k, k))
+            assert np.array_equal(np.linalg.solve(b, _identity_slab(k, 0, k)), np.linalg.inv(b))
+            for j, w in ((0, 1), (k - 1, 1), (k // 3, k - k // 3)):
+                assert np.array_equal(_identity_slab(k, j, w), np.eye(k, w, -j))
+
+    @pytest.mark.parametrize("q", [1.5, 3.0, 10.0])
+    def test_square_basis_is_the_equilibrated_rows(self, q):
+        # _square_basis scales without |B| x |B| temporaries, exactly as
+        # _equilibrate scales the basis rows without vertex 0's columns;
+        # integer coordinates make some entries 0.
+        rng = np.random.default_rng(int(q))
+        compared = zeros = 0
+        for d, n, s in ((1, 6, 0), (2, 9, 1), (3, 12, 2), (3, 40, 3)):
+            g = tree(n, rng) if d == 1 else henneberg_generate(d, n, s)[0]
+            space = LqSpace(d, q)
+            for _ in range(4):
+                for coords in (rng.uniform(-1, 1, (n, d)), rng.integers(-2, 3, (n, d)) * 1.0):
+                    p = Placement(d, coords)
+                    if not p.well_positioned(g):
+                        continue
+                    cell = cell_at(g, space, p, g.m)
+                    rows = count_basis(g, d)
+                    a = _altered([g], cell.draw[1][None], q)[0][np.asarray(rows), d:]
+                    _equilibrate(a)
+                    assert np.array_equal(_square_basis(cell, rows), a)
+                    compared += 1
+                    zeros += (cell.draw[1] == 0).any()
+        assert compared >= 20 and zeros > 0
 
 
 class OriginFirst:
